@@ -5,12 +5,10 @@ exponential automorphisms over exact rational coefficients, including
 the Nagata map, and decomposes the centralizer of the degree-one shear
 exp(D) into scalar, shift and kernel-shear factors.
 
-Hot term-map kernels run from a compiled Cython core when available;
-``backend_name()`` reports which implementation is active and the
-``CREMONA3_BACKEND`` environment variable forces one.
+Polynomial arithmetic runs on one pure-Python term-map kernel over
+``fractions.Fraction`` coefficients (``cremona3._termops``).
 """
 
-from ._backend import available_backends, backend_name
 from .autgroup import (
     AffineGenerator,
     AutWord,
@@ -28,13 +26,10 @@ from .autgroup import (
 )
 from .centralizer import (
     Decomposition,
-    IdentityCheck,
-    TheoremReport,
     decompose,
     is_in_H,
     is_in_centralizer,
     reconstruct,
-    verify_theorem_identities,
 )
 from .derivation import (
     DEFAULT_BOUND,
@@ -95,3 +90,13 @@ from .nagata import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # The suite module is imported on first use only: computing needs none
+    # of it, and importing it eagerly would slow every cold start.
+    if name == "verify_theorem_identities":
+        from .verify import verify_theorem_identities
+
+        return verify_theorem_identities
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,9 +1,9 @@
-"""Pure-Python term-map kernels.
+"""Term-map kernels: the inner loops of every polynomial operation.
 
 A *term map* is a dict from exponent tuples (fixed length, non-negative
-ints) to nonzero ``Fraction`` coefficients.  These five functions are the
-inner loops of every polynomial operation; ``_termops_cy`` ships the same
-functions compiled with Cython and ``_backend`` picks one at import time.
+ints) to nonzero ``Fraction`` coefficients.  This module is the package's
+one kernel implementation, in pure Python; ``exactpoly`` calls these six
+functions directly.
 
 All functions return canonical maps (no zero coefficients) and do not
 mutate their arguments, except ``iadd_scaled_terms`` whose name says so.
@@ -11,8 +11,6 @@ mutate their arguments, except ``iadd_scaled_terms`` whose name says so.
 
 from fractions import Fraction
 from operator import add as _int_add
-
-BACKEND_NAME = "python"
 
 
 def add_terms(a, b):

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .autgroup import PolyMap, commutes, compose
-from .derivation import Derivation, from_kernel_coordinates, kernel_coordinates
+from .derivation import from_kernel_coordinates, kernel_coordinates
 from .errors import (
     DimensionMismatch,
     MalformedCentralizerElement,
@@ -31,17 +30,7 @@ from .errors import (
 )
 from .exactpoly import Polynomial
 from .grammar import format_polynomial
-from .nagata import (
-    H_WEIGHTS,
-    TorusElement,
-    UnipotentElement,
-    character_lambda,
-    commutes_with_weight_scaling,
-    f2_element,
-    k_monomial,
-    standard_objects,
-    torus_conjugate,
-)
+from .nagata import H_WEIGHTS, commutes_with_weight_scaling, f2_element, standard_objects
 
 
 @dataclass(frozen=True)
@@ -133,119 +122,3 @@ def is_in_H(f: PolyMap) -> bool:
     if f.dimension != 3:
         raise DimensionMismatch(f"H membership needs dimension 3, got {f.dimension}")
     return is_in_centralizer(f) and commutes_with_weight_scaling(f, H_WEIGHTS)
-
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class TheoremReport:
-    checks: tuple[IdentityCheck, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def first_failure(self) -> Optional[IdentityCheck]:
-        return next((c for c in self.checks if not c.passed), None)
-
-
-def _maps_equal(name: str, lhs: PolyMap, rhs: PolyMap) -> IdentityCheck:
-    if lhs == rhs:
-        return IdentityCheck(name, True)
-    for i, (a, b) in enumerate(zip(lhs.components, rhs.components)):
-        if a != b:
-            return IdentityCheck(
-                name,
-                False,
-                f"component {i + 1} differs: {format_polynomial(a)} vs {format_polynomial(b)}",
-            )
-    return IdentityCheck(name, False, "maps differ")
-
-
-def verify_theorem_identities() -> TheoremReport:
-    """Exact verification of the identity chain that pins the scale to 1.
-
-    The four checks are independent and share only immutable inputs, so
-    a caller may evaluate them concurrently; the report does not depend
-    on evaluation order.
-    """
-    objs = standard_objects()
-    checks: list[IdentityCheck] = []
-    x, y, z = (Polynomial.variable(i, 3) for i in range(3))
-
-    # (i) conjugating exp(pD) by the unit x-translations equals
-    #     exp((p+z)D), which also splits as exp(pD) o exp(zD).
-    t_plus = PolyMap((x + 1, y, z))
-    t_minus = PolyMap((x - 1, y, z))
-    conjugated = compose(t_minus, compose(objs.h, t_plus))
-    through_sum = PolyMap(objs.D.scaled_by(objs.p + z).exp_map())
-    split = compose(objs.h, PolyMap(objs.D.scaled_by(z).exp_map()))
-    checks.append(_maps_equal("conjugation equals exp((p+z)D)", conjugated, through_sum))
-    checks.append(_maps_equal("exp((p+z)D) splits as exp(pD) o exp(zD)", through_sum, split))
-
-    # (ii) the same splitting with a formal scale a adjoined as a fourth
-    #      variable: exp(a(p+z)D) = exp(apD) o exp(azD).
-    d4 = _lifted_shear_derivation()
-    p4 = objs.p.extend(1)
-    z4 = Polynomial.variable(2, 4)
-    a4 = Polynomial.variable(3, 4)
-    lhs4 = PolyMap(d4.scaled_by(a4 * (p4 + z4)).exp_map())
-    rhs4 = compose(
-        PolyMap(d4.scaled_by(a4 * p4).exp_map()),
-        PolyMap(d4.scaled_by(a4 * z4).exp_map()),
-    )
-    checks.append(_maps_equal("formal-scale splitting exp(a(p+z)D)", lhs4, rhs4))
-
-    # (iii) exp(a z D) = exp(z D) holds at a = 1 and provably fails at a = 2.
-    exp_z = PolyMap(objs.D.scaled_by(z).exp_map())
-    exp_z_again = PolyMap(objs.D.scaled_by(z * Fraction(1)).exp_map())
-    exp_2z = PolyMap(objs.D.scaled_by(z * Fraction(2)).exp_map())
-    pinned = exp_z == exp_z_again and exp_z != exp_2z
-    detail = "" if pinned else "scaling the exponent by 2 was not detected as a different map"
-    checks.append(IdentityCheck("exponent scale pinned to 1", pinned, detail))
-
-    # (iv) torus conjugation rescales the k-th one-parameter subgroup by
-    #      exactly the character (beta*gamma)^(2k+1).
-    samples = (
-        (Fraction(2), Fraction(3), Fraction(1)),
-        (Fraction(1, 2), Fraction(-3), Fraction(2)),
-        (Fraction(-2), Fraction(5), Fraction(-1, 2)),
-    )
-    character_ok = True
-    character_detail = ""
-    for k in range(4):
-        for beta, gamma, s in samples:
-            t = TorusElement(beta, gamma)
-            u = UnipotentElement(k_monomial(k), s)
-            conjugated_u = torus_conjugate(t, u)
-            expected = UnipotentElement(k_monomial(k), s * character_lambda(k, t))
-            if conjugated_u != expected or conjugated_u.to_map() != expected.to_map():
-                character_ok = False
-                character_detail = (
-                    f"k={k}, beta={beta}, gamma={gamma}: exponent "
-                    f"{format_polynomial(conjugated_u.kernel_part(), ('Z', 'P'))}"
-                )
-                break
-        if not character_ok:
-            break
-    checks.append(IdentityCheck("torus action by character (bg)^(2k+1)", character_ok, character_detail))
-
-    return TheoremReport(tuple(checks))
-
-
-def _lifted_shear_derivation() -> Derivation:
-    """The shear derivation on four variables (the last one is inert)."""
-    return Derivation(
-        (
-            Polynomial.variable(1, 4),
-            Polynomial.variable(2, 4),
-            Polynomial.zero(4),
-            Polynomial.zero(4),
-        )
-    )

@@ -4,6 +4,8 @@ A polynomial carries its ambient dimension ``n`` and a canonical sparse
 term map: exponent tuples of length ``n`` mapped to nonzero ``Fraction``
 coefficients.  Two polynomials are equal exactly when dimension and term
 map agree, so equality of values is decidable and exact throughout.
+A constant polynomial also equals, and hashes like, its ``Fraction``
+value.  The arithmetic runs on the term-map kernels of ``_termops``.
 
 The coefficient field is ``fractions.Fraction`` (exported here as
 ``ExactRational``): always reduced, positive denominator, zero stored as
@@ -18,7 +20,14 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
-from . import _backend
+from ._termops import (
+    add_terms,
+    iadd_scaled_terms,
+    mul_terms,
+    neg_terms,
+    scale_terms,
+    sub_terms,
+)
 from .errors import ArityMismatch, DimensionMismatch, IndexOutOfRange
 
 ExactRational = Fraction
@@ -139,7 +148,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Polynomial._make(self._dimension, _backend.add_terms(self._terms, other._terms))
+        return Polynomial._make(self._dimension, add_terms(self._terms, other._terms))
 
     __radd__ = __add__
 
@@ -147,16 +156,16 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Polynomial._make(self._dimension, _backend.sub_terms(self._terms, other._terms))
+        return Polynomial._make(self._dimension, sub_terms(self._terms, other._terms))
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Polynomial._make(self._dimension, _backend.sub_terms(other._terms, self._terms))
+        return Polynomial._make(self._dimension, sub_terms(other._terms, self._terms))
 
     def __neg__(self):
-        return Polynomial._make(self._dimension, _backend.neg_terms(self._terms))
+        return Polynomial._make(self._dimension, neg_terms(self._terms))
 
     def __pos__(self):
         return self
@@ -164,15 +173,11 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._check_same_ring(other)
-            return Polynomial._make(
-                self._dimension, _backend.mul_terms(self._terms, other._terms)
-            )
+            return Polynomial._make(self._dimension, mul_terms(self._terms, other._terms))
         if isinstance(other, Fraction):
-            return Polynomial._make(self._dimension, _backend.scale_terms(self._terms, other))
+            return Polynomial._make(self._dimension, scale_terms(self._terms, other))
         if isinstance(other, int):
-            return Polynomial._make(
-                self._dimension, _backend.scale_terms(self._terms, Fraction(other))
-            )
+            return Polynomial._make(self._dimension, scale_terms(self._terms, Fraction(other)))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -204,8 +209,12 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self):
+        # A constant equals its Fraction value, so it must hash like it too.
         if self._hash is None:
-            self._hash = hash((self._dimension, frozenset(self._terms.items())))
+            if self.is_constant():
+                self._hash = hash(self.constant_term())
+            else:
+                self._hash = hash((self._dimension, frozenset(self._terms.items())))
         return self._hash
 
     def __bool__(self):
@@ -262,11 +271,11 @@ class Polynomial:
                     continue
                 cache = powers[i]
                 while len(cache) <= e:
-                    cache.append(_backend.mul_terms(cache[-1], cache[1]))
-                prod = cache[e] if prod is None else _backend.mul_terms(prod, cache[e])
+                    cache.append(mul_terms(cache[-1], cache[1]))
+                prod = cache[e] if prod is None else mul_terms(prod, cache[e])
             if prod is None:
                 prod = {one_exps: Fraction(1)}
-            _backend.iadd_scaled_terms(acc, prod, coeff)
+            iadd_scaled_terms(acc, prod, coeff)
         return Polynomial._make(m, acc)
 
     def coefficient_of_power(self, index: int, power: int) -> "Polynomial":
@@ -332,28 +341,3 @@ def variables(dimension: int) -> tuple[Polynomial, ...]:
     """The coordinate functions x_1, ..., x_n as polynomials."""
     return tuple(Polynomial.variable(i, dimension) for i in range(dimension))
 
-
-# Free-function spellings of the core operations.
-
-def add(f: Polynomial, g: Polynomial) -> Polynomial:
-    if not isinstance(g, Polynomial):
-        raise TypeError("add expects two polynomials")
-    return f + g
-
-
-def mul(f: Polynomial, g: Polynomial) -> Polynomial:
-    if not isinstance(g, Polynomial):
-        raise TypeError("mul expects two polynomials")
-    return f * g
-
-
-def substitute(f: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
-    return f.substitute(images)
-
-
-def partial_derivative(f: Polynomial, index: int) -> Polynomial:
-    return f.partial_derivative(index)
-
-
-def total_degree(f: Polynomial):
-    return f.total_degree()

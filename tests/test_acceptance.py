@@ -114,9 +114,9 @@ def test_criterion_5_lemma_characters(capsys):
 
 def test_criterion_6_theorem_identity_chain(capsys):
     verify_theorem_identities()  # warm-up
-    report, elapsed = _timed(verify_theorem_identities)
-    assert report.all_passed, report.first_failure
-    names = [check.name for check in report.checks]
+    checks, elapsed = _timed(verify_theorem_identities)
+    assert all(check.passed for check in checks), next(c for c in checks if not c.passed)
+    names = [check.name for check in checks]
     assert "exponent scale pinned to 1" in names
     assert elapsed < 0.100
     with capsys.disabled():

@@ -1,89 +1,28 @@
-"""The compiled and pure-Python kernels must be indistinguishable."""
+"""Polynomial-level checks run over the term-map kernel.
+
+There is one kernel, the pure-Python ``cremona3._termops``; the ``backend``
+parameter names it so these checks keep their established ids.
+"""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from cremona3 import Polynomial, _backend, decompose, reconstruct
-from cremona3._termops import (
-    add_terms,
-    iadd_scaled_terms,
-    mul_terms,
-    neg_terms,
-    scale_terms,
-    sub_terms,
-)
+from cremona3 import Polynomial, decompose, reconstruct
 from cremona3.verify import random_decomposition, random_polynomial
 
-HAS_CYTHON = "cython" in _backend.available_backends()
+KERNELS = ("python",)
 
 
-@pytest.fixture
-def restore_backend():
-    previous = _backend.backend_name()
-    yield
-    _backend.use_backend(previous)
-
-
-def _random_terms(rng, dimension=3, max_terms=6):
-    out = {}
-    for _ in range(rng.randint(0, max_terms)):
-        exps = tuple(rng.randint(0, 4) for _ in range(dimension))
-        coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-        if coeff:
-            out[exps] = coeff
-    return {e: c for e, c in out.items() if c}
-
-
-@pytest.mark.skipif(not HAS_CYTHON, reason="compiled kernels were not built")
-def test_kernels_agree_on_random_inputs():
-    from cremona3 import _termops_cy as cy
-
-    rng = random.Random(2024)
-    for _ in range(200):
-        a = _random_terms(rng)
-        b = _random_terms(rng)
-        scalar = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        assert cy.add_terms(a, b) == add_terms(a, b)
-        assert cy.sub_terms(a, b) == sub_terms(a, b)
-        assert cy.neg_terms(a) == neg_terms(a)
-        assert cy.scale_terms(a, scalar) == scale_terms(a, scalar)
-        assert cy.mul_terms(a, b) == mul_terms(a, b)
-        acc_py = dict(a)
-        acc_cy = dict(a)
-        iadd_scaled_terms(acc_py, b, scalar)
-        cy.iadd_scaled_terms(acc_cy, b, scalar)
-        assert acc_py == acc_cy
-
-
-@pytest.mark.skipif(not HAS_CYTHON, reason="compiled kernels were not built")
-def test_kernels_do_not_mutate_inputs():
-    from cremona3 import _termops_cy as cy
-
-    a = {(1, 0, 0): Fraction(1)}
-    b = {(1, 0, 0): Fraction(-1), (0, 1, 0): Fraction(2)}
-    snapshot_a, snapshot_b = dict(a), dict(b)
-    for impl in (None, cy):
-        ops = impl if impl is not None else __import__("cremona3._termops", fromlist=["x"])
-        ops.add_terms(a, b)
-        ops.sub_terms(a, b)
-        ops.mul_terms(a, b)
-        ops.neg_terms(a)
-        ops.scale_terms(a, Fraction(3))
-        assert a == snapshot_a and b == snapshot_b
-
-
-@pytest.mark.parametrize("backend", _backend.available_backends())
-def test_polynomial_results_match_across_backends(backend, restore_backend):
-    _backend.use_backend(backend)
+@pytest.mark.parametrize("backend", KERNELS)
+def test_polynomial_results_match_across_backends(backend):
     rng = random.Random(4242)
     shear = [
         Polynomial(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): Fraction(1, 2)}),
         Polynomial(3, {(0, 1, 0): 1, (0, 0, 1): 1}),
         Polynomial(3, {(0, 0, 1): 1}),
     ]
-    # Frozen reference values computed once and compared under each backend.
     for _ in range(40):
         f = random_polynomial(rng, max_degree=5)
         g = random_polynomial(rng, max_degree=5)
@@ -91,14 +30,9 @@ def test_polynomial_results_match_across_backends(backend, restore_backend):
         assert (f + g).substitute(shear) == f.substitute(shear) + g.substitute(shear)
 
 
-@pytest.mark.parametrize("backend", _backend.available_backends())
-def test_decomposition_round_trip_under_each_backend(backend, restore_backend):
-    _backend.use_backend(backend)
+@pytest.mark.parametrize("backend", KERNELS)
+def test_decomposition_round_trip_under_each_backend(backend):
     rng = random.Random(515)
     for _ in range(5):
         d = random_decomposition(rng)
         assert decompose(reconstruct(d)) == d
-
-
-def test_backend_name_is_reported():
-    assert _backend.backend_name() in _backend.available_backends()

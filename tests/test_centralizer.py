@@ -169,11 +169,10 @@ def test_shifts_are_not_in_H():
 
 
 def test_theorem_identities_all_pass():
-    report = verify_theorem_identities()
-    assert report.all_passed
-    assert report.first_failure is None
-    assert len(report.checks) == 5
-    assert all(check.detail == "" for check in report.checks)
+    checks = verify_theorem_identities()
+    assert all(check.passed for check in checks)
+    assert len(checks) == 5
+    assert all(check.detail == "" for check in checks)
 
 
 def test_conjugation_identity_expansion():

@@ -80,6 +80,12 @@ def test_equality_is_term_map_equality():
     assert X + Y != X - Y
     assert Polynomial.constant(3, Fraction(5)) == 5
     assert hash(X * Z - HALF * Y * Y) == hash(P)
+    # A constant equals its value, so it must hash like it (zero included).
+    for value in (0, 1, Fraction(1, 2), -3):
+        constant = Polynomial.constant(3, value)
+        assert constant == value
+        assert hash(constant) == hash(Fraction(value))
+        assert len({constant, value}) == 1
 
 
 def test_coefficients_are_reduced_rationals():
@@ -283,6 +289,7 @@ def test_used_variables():
 @given(polynomials(), polynomials(), polynomials())
 def test_add_associative_mul_distributive(f, g, h):
     assert (f + g) + h == f + (g + h)
+    assert (f * g) * h == f * (g * h)
     assert f * (g + h) == f * g + f * h
 
 
