@@ -83,6 +83,7 @@ from .nagata import (
     f2_element,
     is_in_K,
     k_monomial,
+    kernel_shear,
     lambda_degree,
     scale_unipotent,
     standard_objects,

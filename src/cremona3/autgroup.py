@@ -286,7 +286,11 @@ class ExponentialGenerator:
         return PolyMap(self.derivation.scaled_by(self.q * self.scale).exp_map())
 
     def inverse(self) -> "ExponentialGenerator":
-        return ExponentialGenerator(self.q, self.derivation, -self.scale)
+        # Same q and D as this validated generator: kernel membership and
+        # nilpotency (proved at whatever bound it was built with) carry over.
+        inv = ExponentialGenerator.__new__(ExponentialGenerator)
+        inv.q, inv.derivation, inv.scale = self.q, self.derivation, -self.scale
+        return inv
 
     def __eq__(self, other):
         if isinstance(other, ExponentialGenerator):

@@ -8,6 +8,11 @@ and ``decompose``/``reconstruct`` realize that bijection on explicit
 maps.  The splitting is normalized so that a is the unique scalar with
 f_3 = a z; this makes decompose(reconstruct(.)) the identity on triples.
 
+No verdict here composes maps.  Membership uses the derivation
+criterion f commutes with exp(D) iff D(f_i) = (D x_i) o f for every i
+(see ``is_in_centralizer``), and ``reconstruct`` multiplies the three
+factors out in closed form.
+
 ``decompose`` accepts raw maps (the one place raw maps are accepted)
 because commutation with h' is directly checkable.  A map that commutes
 but fails an extraction step is not an automorphism of the required
@@ -20,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .autgroup import PolyMap, commutes, compose
-from .derivation import from_kernel_coordinates, kernel_coordinates
+from .autgroup import PolyMap
+from .derivation import kernel_coordinates
 from .errors import (
     DimensionMismatch,
     MalformedCentralizerElement,
@@ -30,7 +35,7 @@ from .errors import (
 )
 from .exactpoly import Polynomial
 from .grammar import format_polynomial
-from .nagata import H_WEIGHTS, commutes_with_weight_scaling, f2_element, standard_objects
+from .nagata import H_WEIGHTS, commutes_with_weight_scaling, kernel_shear, standard_objects
 
 
 @dataclass(frozen=True)
@@ -56,10 +61,32 @@ class Decomposition:
 
 
 def is_in_centralizer(f: PolyMap) -> bool:
-    """True iff f o h' = h' o f exactly."""
+    """True iff f o h' = h' o f exactly, decided without composing maps.
+
+    Criterion: f commutes with h' = exp(D) iff D(f_i) = (D x_i) o f for
+    i = 1..3; for D = (y, z, 0) that reads D(f1) = f2, D(f2) = f3 and
+    D(f3) = 0.  It holds for any polynomial map f, invertible or not.
+
+    Proof.  Write f* for the ring map g -> g o f.  Because exp(D) is a
+    ring automorphism with exp(D)(x_i) = h'_i, the components of f o h'
+    are exp(D)(f_i) and those of h' o f are f*(exp(D) x_i), so f
+    commutes with h' iff exp(D) f* = f* exp(D) (both sides are ring maps
+    that agree on the generators).  If they commute, then exp(nD) f* =
+    f* exp(nD) for every n >= 0.  For a fixed g, exp(tD) f*(g) -
+    f*(exp(tD) g) is a polynomial in t, since D is locally nilpotent;
+    it vanishes on all of N, so it is zero, and its t-derivative at 0
+    gives D f*(g) = f*(D g).  Conversely, D f* and f* D are both
+    f*-derivations (d(ab) = d(a) f*(b) + f*(a) d(b)), so agreeing on the
+    generators, D(f_i) = f*(D x_i), they agree everywhere; then D^k f* =
+    f* D^k for all k, and summing the series gives exp(D) f* =
+    f* exp(D).
+    """
     if f.dimension != 3:
         raise DimensionMismatch(f"centralizer membership needs dimension 3, got {f.dimension}")
-    return commutes(f, standard_objects().h_prime)
+    D = standard_objects().D
+    return all(
+        D.apply(c) == img.substitute(f.components) for c, img in zip(f.components, D.images)
+    )
 
 
 def decompose(f: PolyMap) -> Decomposition:
@@ -108,13 +135,14 @@ def decompose(f: PolyMap) -> Decomposition:
 
 
 def reconstruct(d: Decomposition) -> PolyMap:
-    """(a x, a y, a z) o (x + w(z), y, z) o exp(q(z,p) D), multiplied out."""
-    objs = standard_objects()
-    exponent = from_kernel_coordinates(d.q)
-    shear = PolyMap(objs.D.scaled_by(exponent).exp_map())
-    shift = f2_element(d.w)
-    scalar = PolyMap(tuple(Polynomial.variable(i, 3) * d.alpha for i in range(3)))
-    return compose(scalar, compose(shift, shear))
+    """(a x, a y, a z) o (x + w(z), y, z) o exp(q(z,p) D), multiplied out.
+
+    Closed form: with (s1, s2, s3) = kernel_shear(q), the shift only
+    reads s3 = z, so the product is a * (s1 + w, s2, s3) and no map is
+    composed.
+    """
+    s1, s2, s3 = kernel_shear(d.q).components
+    return PolyMap(((s1 + d.w) * d.alpha, s2 * d.alpha, s3 * d.alpha))
 
 
 def is_in_H(f: PolyMap) -> bool:

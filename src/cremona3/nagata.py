@@ -9,6 +9,9 @@ kernel coordinates (Z, P), where membership tests and character-degree
 extraction are monomial inspections: q lies in p*C[p z^2] exactly when
 every monomial Z^a P^b has b >= 1 and a = 2(b-1).
 
+Because q lies in ker D, exp(qD) is the closed form
+``kernel_shear``: (x + q y + q^2 z/2, y + q z, z), with no series to sum.
+
 The torus (b^2/g * x, b * y, g * z) acts on these by conjugation and
 rescales exp(s * p(pz^2)^k D) by the character (b*g)^(2k+1).
 """
@@ -105,9 +108,7 @@ class UnipotentElement:
         return self.q * self.scale
 
     def to_map(self) -> PolyMap:
-        objs = standard_objects()
-        exponent = from_kernel_coordinates(self.kernel_part())
-        return PolyMap(objs.D.scaled_by(exponent).exp_map())
+        return kernel_shear(self.kernel_part())
 
     def __eq__(self, other):
         # Two elements are the same automorphism iff the full exponents agree.
@@ -131,6 +132,24 @@ def f2_element(w: Polynomial) -> PolyMap:
         raise NotInKerEKerD("the shift must depend on z alone")
     x, y, z = (Polynomial.variable(i, 3) for i in range(3))
     return PolyMap((x + w, y, z))
+
+
+def kernel_shear(c: Polynomial) -> PolyMap:
+    """exp(q D) for q = c(z, p), in closed form.
+
+    ``c`` is given in kernel coordinates (Z, P), so q = c(z, xz - y^2/2)
+    lies in ker D by construction.  Then (qD)(x) = q y, (qD)^2(x) = q^2 z
+    and (qD)^3(x) = 0, so the exponential series stops after three terms:
+
+        exp(qD) = (x + q y + q^2 z / 2, y + q z, z)
+
+    exactly; this is ``PolyMap(D.scaled_by(q).exp_map())`` without
+    iterating D.
+    """
+    q = from_kernel_coordinates(c)
+    x, y, z = (Polynomial.variable(i, 3) for i in range(3))
+    qz = q * z
+    return PolyMap((x + q * y + q * qz / 2, y + qz, z))
 
 
 def k_monomial(k: int) -> Polynomial:

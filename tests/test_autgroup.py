@@ -113,6 +113,17 @@ def test_invert_exponential_flips_the_scale():
     assert compose(word.evaluate(), inverse.evaluate()).is_identity()
 
 
+def test_invert_exponential_built_past_the_default_bound():
+    # x -> y^70 -> ... -> 0 takes 72 steps, more than DEFAULT_BOUND = 64;
+    # the inverse must not re-validate at the default bound.
+    from cremona3 import Derivation
+
+    slow = Derivation((Y ** 70, Z ** 2, Polynomial.zero(3)))
+    assert slow.nilpotency_index(X, 100) == 72
+    inverse = ExponentialGenerator(Z, slow, bound=100).inverse()
+    assert (inverse.q, inverse.derivation, inverse.scale) == (Z, slow, -1)
+
+
 def test_invert_triangular_back_substitution():
     gen = TriangularGenerator((X + Y ** 2, Y + 1, Z))
     inverse_map = AutWord(3, [gen]).inverse().evaluate()

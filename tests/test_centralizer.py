@@ -12,16 +12,25 @@ from cremona3 import (
     NotInCentralizer,
     PolyMap,
     Polynomial,
+    commutes,
     compose,
     decompose,
+    f2_element,
+    from_kernel_coordinates,
     is_in_H,
     is_in_centralizer,
+    kernel_shear,
     reconstruct,
     standard_objects,
     variables,
     verify_theorem_identities,
 )
-from cremona3.verify import random_decomposition
+from cremona3.verify import (
+    random_decomposition,
+    random_kernel_polynomial,
+    random_polynomial,
+    random_z_polynomial,
+)
 
 X, Y, Z = variables(3)
 HALF = Fraction(1, 2)
@@ -50,6 +59,59 @@ def test_shift_of_x_by_y_is_not():
 def test_membership_requires_dimension_three():
     with pytest.raises(DimensionMismatch):
         is_in_centralizer(PolyMap.identity(2))
+
+
+def _random_kernel_element(rng):
+    return from_kernel_coordinates(random_kernel_polynomial(rng, max_degree=2))
+
+
+def _derivation_chain(u):
+    du = OBJS.D.apply(u)
+    return PolyMap((u, du, OBJS.D.apply(du)))
+
+
+def test_membership_criterion_agrees_with_composition():
+    # The composition definition f o h' == h' o f is the oracle.
+    rng = random.Random(71)
+    members = [reconstruct(random_decomposition(rng)) for _ in range(12)]
+    perturbed = []
+    for f in members:
+        comps = list(f.components)
+        i = rng.randrange(3)
+        comps[i] = comps[i] + random_polynomial(rng, max_degree=3, max_terms=3)
+        perturbed.append(PolyMap(comps))
+    random_maps = [
+        PolyMap(tuple(random_polynomial(rng, max_degree=3, max_terms=4) for _ in range(3)))
+        for _ in range(12)
+    ]
+    # (u, Du, D^2 u) commutes exactly when D^3 u = 0; for u = x*k1 + y*k2 + k3
+    # with k_i in ker D it does, though it is no automorphism, e.g. (xz, yz, z^2).
+    chain_seeds = [X * Z]
+    for _ in range(6):
+        k1, k2, k3 = (_random_kernel_element(rng) for _ in range(3))
+        chain_seeds.append(X * k1 + Y * k2 + k3)
+        chain_seeds.append(random_polynomial(rng, max_degree=4, max_terms=4))
+    chains = []
+    for u in chain_seeds:
+        f = _derivation_chain(u)
+        assert is_in_centralizer(f) == OBJS.D.apply(f.components[2]).is_zero()
+        chains.append(f)
+
+    verdicts = {}
+    for kind, maps in [
+        ("members", members),
+        ("perturbed", perturbed),
+        ("random", random_maps),
+        ("chains", chains),
+    ]:
+        for f in maps:
+            verdict = is_in_centralizer(f)
+            assert verdict == commutes(f, OBJS.h_prime), (kind, str(f))
+            verdicts.setdefault(kind, set()).add(verdict)
+    assert verdicts["members"] == {True}
+    assert False in verdicts["perturbed"]
+    assert False in verdicts["random"]
+    assert verdicts["chains"] == {True, False}
 
 
 # -- decompose ----------------------------------------------------------------
@@ -86,6 +148,9 @@ def test_decompose_flags_commuting_non_automorphisms():
         decompose(PolyMap((Polynomial.zero(3),) * 3))
     with pytest.raises(MalformedCentralizerElement):
         decompose(PolyMap((Polynomial.one(3), Polynomial.zero(3), Polynomial.zero(3))))
+    # (xz, yz, z^2) = (u, Du, D^2 u) for u = xz commutes but is not onto.
+    with pytest.raises(MalformedCentralizerElement):
+        decompose(PolyMap((X * Z, Y * Z, Z ** 2)))
 
 
 # -- reconstruct ----------------------------------------------------------------
@@ -110,6 +175,44 @@ def test_reconstructed_maps_commute_with_the_shear():
         assert is_in_centralizer(reconstruct(random_decomposition(rng)))
 
 
+def _exp_shear(c):
+    # The series definition exp(qD), q = c(z, p): the oracle for the closed forms.
+    return PolyMap(OBJS.D.scaled_by(from_kernel_coordinates(c)).exp_map())
+
+
+def _wide_triples(rng, count):
+    alphas = (Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(-2, 3))
+    return [
+        Decomposition(
+            alpha=rng.choice(alphas),
+            w=random_z_polynomial(rng, max_degree=6),
+            q=random_kernel_polynomial(rng, max_degree=5),
+        )
+        for _ in range(count)
+    ]
+
+
+def test_reconstruct_matches_the_composed_product():
+    rng = random.Random(79)
+    for d in _wide_triples(rng, 8):
+        scalar = PolyMap(tuple(v * d.alpha for v in (X, Y, Z)))
+        product = compose(scalar, compose(f2_element(d.w), _exp_shear(d.q)))
+        assert reconstruct(d) == product
+
+
+def test_kernel_shear_matches_the_exponential_series():
+    rng = random.Random(83)
+    for d in _wide_triples(rng, 8):
+        assert kernel_shear(d.q) == _exp_shear(d.q)
+    assert kernel_shear(Q_P) == OBJS.h
+    assert kernel_shear(Polynomial.one(2)) == OBJS.h_prime
+
+
+def test_kernel_shear_needs_kernel_coordinates():
+    with pytest.raises(DimensionMismatch):
+        kernel_shear(Z)
+
+
 def test_decomposition_validates_components():
     with pytest.raises(MalformedCentralizerElement):
         Decomposition(Fraction(0), ZERO_W, ZERO_Q)
@@ -132,8 +235,6 @@ def test_round_trips_on_random_triples():
 def test_shear_removal_leaves_a_pure_shift():
     # The intermediate step behind decompose: for a commuting map with
     # unit scalar, undoing the kernel shear leaves exactly (x + w, y, z).
-    from cremona3 import from_kernel_coordinates
-
     rng = random.Random(67)
     for _ in range(10):
         sample = random_decomposition(rng)
