@@ -5,8 +5,10 @@ exponential automorphisms over exact rational coefficients, including
 the Nagata map, and decomposes the centralizer of the degree-one shear
 exp(D) into scalar, shift and kernel-shear factors.
 
-Polynomial arithmetic runs on one pure-Python term-map kernel over
-``fractions.Fraction`` coefficients (``cremona3._termops``).
+Polynomial arithmetic runs on one pure-Python kernel module
+(``cremona3._termops``): a polynomial is a positive integer denominator
+plus integer coefficients keyed by packed monomials, and
+``Polynomial.terms`` shows it as ``fractions.Fraction`` coefficients.
 """
 
 from .autgroup import (

@@ -1,16 +1,76 @@
-"""Term-map kernels: the inner loops of every polynomial operation.
+"""Integer term-map kernels over packed monomials: the inner loops of
+every polynomial operation.
 
-A *term map* is a dict from exponent tuples (fixed length, non-negative
-ints) to nonzero ``Fraction`` coefficients.  This module is the package's
-one kernel implementation, in pure Python; ``exactpoly`` calls these six
-functions directly.
+A *packed monomial* is one non-negative int holding an exponent vector
+in fixed-width bit fields: the exponent of variable ``i`` sits at bit
+``EXPONENT_BITS * i``.  Multiplying two monomials is then one integer
+addition (Monagan and Pearce, "Sparse polynomial division using a heap",
+J. Symb. Comp. 2011).  The top bit of each field is a guard bit: every
+valid exponent is at most ``MAX_EXPONENT`` and leaves it clear, so the
+sum of two valid fields never carries into the next field, and a result
+with any guard bit set is an exponent overflow.  ``mul_terms`` checks
+its output for that and raises ``DomainError``; it never returns a
+wrong monomial.
+
+A *term map* here is a dict from packed monomials to nonzero ints.  The
+rational layer (``exactpoly``) keeps one positive denominator beside it,
+and ``normalize`` makes such a pair canonical.
 
 All functions return canonical maps (no zero coefficients) and do not
 mutate their arguments, except ``iadd_scaled_terms`` whose name says so.
 """
 
-from fractions import Fraction
-from operator import add as _int_add
+from functools import lru_cache, reduce
+from math import gcd
+from operator import or_
+
+from .errors import DomainError
+
+#: Width of one exponent field in a packed monomial, guard bit included.
+EXPONENT_BITS = 21
+
+#: Largest exponent a packed monomial holds.
+MAX_EXPONENT = (1 << (EXPONENT_BITS - 1)) - 1
+
+#: The bits of one exponent field, guard bit included.
+FIELD_MASK = (1 << EXPONENT_BITS) - 1
+
+
+def pack(exps) -> int:
+    """The packed monomial of an exponent vector; DomainError past MAX_EXPONENT."""
+    key = 0
+    for i, e in enumerate(exps):
+        if e > MAX_EXPONENT:
+            raise DomainError(f"exponent {e} exceeds the limit {MAX_EXPONENT}")
+        key |= e << (EXPONENT_BITS * i)
+    return key
+
+
+def unpack(key: int, dimension: int) -> tuple:
+    """The exponent vector of length ``dimension`` of a packed monomial."""
+    return tuple((key >> (EXPONENT_BITS * i)) & FIELD_MASK for i in range(dimension))
+
+
+@lru_cache(maxsize=None)
+def _guard_bits(bit_length: int) -> int:
+    fields = -(-bit_length // EXPONENT_BITS)
+    return sum(1 << (EXPONENT_BITS * i + EXPONENT_BITS - 1) for i in range(fields))
+
+
+def _check_exponents(terms) -> None:
+    # DomainError if a key of ``terms`` has an overflowed field.
+    bits = reduce(or_, terms, 0)
+    if bits & _guard_bits(bits.bit_length()):
+        raise DomainError(f"a product has an exponent above the limit {MAX_EXPONENT}")
+
+
+def normalize(den: int, terms: dict):
+    """The canonical pair (den / g, terms / g) for g = gcd(den, coefficients)."""
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            return den // g, {e: c // g for e, c in terms.items()}
+    return den, terms
 
 
 def add_terms(a, b):
@@ -19,31 +79,25 @@ def add_terms(a, b):
     if not a:
         return dict(b)
     out = dict(a)
+    get = out.get
     for e, c in b.items():
-        cur = out.get(e)
-        if cur is None:
-            out[e] = c
+        s = get(e, 0) + c
+        if s:
+            out[e] = s
         else:
-            s = cur + c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
+            del out[e]
     return out
 
 
 def sub_terms(a, b):
     out = dict(a)
+    get = out.get
     for e, c in b.items():
-        cur = out.get(e)
-        if cur is None:
-            out[e] = -c
+        s = get(e, 0) - c
+        if s:
+            out[e] = s
         else:
-            s = cur - c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
+            del out[e]
     return out
 
 
@@ -58,29 +112,24 @@ def scale_terms(a, c):
 
 
 def mul_terms(a, b):
-    # Accumulates raw numerator/denominator pairs and normalizes once per
-    # output monomial: one gcd per result term instead of one per product.
     if not a or not b:
         return {}
-    acc = {}
-    b_items = [(e, c.numerator, c.denominator) for e, c in b.items()]
-    for ea, ca in a.items():
-        na = ca.numerator
-        da = ca.denominator
-        for eb, nb, db in b_items:
-            e = tuple(map(_int_add, ea, eb))
-            n = na * nb
-            d = da * db
-            cur = acc.get(e)
-            if cur is None:
-                acc[e] = [n, d]
-            else:
-                cur[0] = cur[0] * d + n * cur[1]
-                cur[1] = cur[1] * d
-    out = {}
-    for e, (n, d) in acc.items():
-        if n:
-            out[e] = Fraction(n, d)
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        # A monomial times a polynomial: the keys stay distinct.
+        ((ea, ca),) = a.items()
+        out = {ea + eb: ca * cb for eb, cb in b.items()}
+    else:
+        acc = {}
+        get = acc.get
+        b_items = tuple(b.items())
+        for ea, ca in a.items():
+            for eb, cb in b_items:
+                e = ea + eb
+                acc[e] = get(e, 0) + ca * cb
+        out = {e: c for e, c in acc.items() if c}
+    _check_exponents(out)
     return out
 
 
@@ -88,10 +137,10 @@ def iadd_scaled_terms(acc, src, c):
     """acc += c * src, in place; acc stays canonical."""
     if not c:
         return
+    get = acc.get
     for e, v in src.items():
-        cur = acc.get(e)
-        nv = c * v if cur is None else cur + c * v
+        nv = get(e, 0) + c * v
         if nv:
             acc[e] = nv
-        elif cur is not None:
+        else:
             del acc[e]

@@ -216,7 +216,7 @@ class TriangularGenerator:
                     f"component dimension {comp.dimension} != generator dimension {n}"
                 )
             xi = Polynomial.variable(i, n)
-            ci = comp.terms.get(tuple(1 if j == i else 0 for j in range(n)), Fraction(0))
+            ci = comp.coefficient(tuple(1 if j == i else 0 for j in range(n)))
             if not ci:
                 raise InvalidGenerator(f"component {i} has no x_{i + 1} term")
             tail = comp - xi * ci
@@ -258,9 +258,13 @@ class TriangularGenerator:
 
 
 class ExponentialGenerator:
-    """exp(scale * q * D) for q in ker D, D locally nilpotent."""
+    """exp(scale * q * D) for q in ker D, D locally nilpotent.
 
-    __slots__ = ("q", "derivation", "scale")
+    ``bound`` is the iteration budget the generator was validated at;
+    ``to_map`` sums the exponential series within the same budget.
+    """
+
+    __slots__ = ("q", "derivation", "scale", "bound")
 
     def __init__(self, q: Polynomial, derivation: Derivation, scale=1, bound: int = DEFAULT_BOUND):
         if q.dimension != derivation.dimension:
@@ -277,19 +281,21 @@ class ExponentialGenerator:
         self.q = q
         self.derivation = derivation
         self.scale = Fraction(scale)
+        self.bound = bound
 
     @property
     def dimension(self) -> int:
         return self.q.dimension
 
     def to_map(self) -> PolyMap:
-        return PolyMap(self.derivation.scaled_by(self.q * self.scale).exp_map())
+        return PolyMap(self.derivation.scaled_by(self.q * self.scale).exp_map(self.bound))
 
     def inverse(self) -> "ExponentialGenerator":
         # Same q and D as this validated generator: kernel membership and
-        # nilpotency (proved at whatever bound it was built with) carry over.
+        # nilpotency (proved at its bound) carry over.
         inv = ExponentialGenerator.__new__(ExponentialGenerator)
         inv.q, inv.derivation, inv.scale = self.q, self.derivation, -self.scale
+        inv.bound = self.bound
         return inv
 
     def __eq__(self, other):
@@ -409,7 +415,7 @@ def is_tame_generator(m: PolyMap) -> GeneratorShape:
     if all(d <= 1 for d in degrees):
         matrix = [
             [
-                c.terms.get(tuple(1 if j == k else 0 for k in range(n)), Fraction(0))
+                c.coefficient(tuple(1 if j == k else 0 for k in range(n)))
                 for j in range(n)
             ]
             for c in m.components

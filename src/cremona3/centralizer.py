@@ -104,11 +104,11 @@ def decompose(f: PolyMap) -> Decomposition:
     x, y, z = (Polynomial.variable(i, 3) for i in range(3))
     f1, f2, f3 = f.components
 
-    if set(f3.terms) != {(0, 0, 1)}:
+    if f3.exponents() != ((0, 0, 1),):
         raise MalformedCentralizerElement(
             f"third component must be a nonzero multiple of z, got {format_polynomial(f3)}"
         )
-    scale = f3.terms[(0, 0, 1)]
+    scale = f3.coefficient((0, 0, 1))
 
     q_raw = (f2 - y * scale).divided_by_power(2, 1)
     if q_raw is None:

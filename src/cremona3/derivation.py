@@ -227,7 +227,7 @@ def kernel_coordinates(f: Polynomial) -> Polynomial:
     if f.dimension != 3:
         raise DimensionMismatch(f"kernel coordinates need dimension 3, got {f.dimension}")
     p = nagata_invariant()
-    out: dict[tuple[int, int], Fraction] = {}
+    out = Polynomial.zero(2)
     work = f
     while not work.is_zero():
         d = work.degree_in(0)
@@ -236,20 +236,18 @@ def kernel_coordinates(f: Polynomial) -> Polynomial:
             raise NotInKernelRing(
                 f"the x^{d} coefficient involves y, so the input is not in the kernel ring"
             )
-        if d == 0:
-            for exps, coeff in lead.terms.items():
-                out[(exps[2], 0)] = out.get((exps[2], 0), Fraction(0)) + coeff
-            break
         quotient = lead.divided_by_power(2, d)
         if quotient is None:
             raise NotInKernelRing(
                 f"the x^{d} coefficient is not divisible by z^{d}"
             )
-        for exps, coeff in quotient.terms.items():
-            key = (exps[2], d)
-            out[key] = out.get(key, Fraction(0)) + coeff
+        # c_d(z) becomes c_d(Z) P^d.
+        den, numerators = quotient.integer_terms()
+        out = out + Polynomial(2, {(exps[2], d): c for exps, c in numerators.items()}) / den
+        if d == 0:
+            break
         work = work - quotient * p ** d
-    return Polynomial(2, {k: v for k, v in out.items() if v})
+    return out
 
 
 def from_kernel_coordinates(c: Polynomial) -> Polynomial:

@@ -1,32 +1,39 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial carries its ambient dimension ``n`` and a canonical sparse
-term map: exponent tuples of length ``n`` mapped to nonzero ``Fraction``
-coefficients.  Two polynomials are equal exactly when dimension and term
-map agree, so equality of values is decidable and exact throughout.
-A constant polynomial also equals, and hashes like, its ``Fraction``
-value.  The arithmetic runs on the term-map kernels of ``_termops``.
+A polynomial carries its ambient dimension ``n`` and the canonical pair
+``(den, terms)``: a positive int ``den`` and a dict from packed
+monomials (see ``_termops``) to nonzero ints, with ``gcd(den, every
+coefficient) == 1``; its value is ``terms / den``.  So two polynomials
+are equal exactly when dimension and pair agree.  A constant polynomial
+also equals, and hashes like, its ``Fraction`` value.
 
-The coefficient field is ``fractions.Fraction`` (exported here as
-``ExactRational``): always reduced, positive denominator, zero stored as
-0/1.  Values are immutable; every operation is a pure function, so
+``terms`` is the public read-only view with exponent tuples and
+``fractions.Fraction`` coefficients (``ExactRational``), built when
+accessed.  Values are immutable; every operation is a pure function, so
 polynomials can be shared freely between threads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from math import gcd, lcm
+from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 from ._termops import (
+    EXPONENT_BITS,
+    FIELD_MASK,
     add_terms,
     iadd_scaled_terms,
     mul_terms,
     neg_terms,
+    normalize,
+    pack,
     scale_terms,
     sub_terms,
+    unpack,
 )
 from .errors import ArityMismatch, DimensionMismatch, IndexOutOfRange
 
@@ -54,44 +61,37 @@ def default_variable_names(dimension: int) -> tuple[str, ...]:
 class Polynomial:
     """Immutable sparse polynomial in ``dimension`` variables."""
 
-    __slots__ = ("_dimension", "_terms", "_hash")
+    __slots__ = ("_dimension", "_den", "_terms", "_hash")
 
     def __init__(self, dimension: int, terms=()):
         if not isinstance(dimension, int) or dimension < 1:
             raise DimensionMismatch(f"dimension must be a positive integer, got {dimension!r}")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        canonical: dict[tuple[int, ...], Fraction] = {}
+        merged: dict[int, Fraction] = {}
         for exps, coeff in items:
-            exps = tuple(exps)
-            if len(exps) != dimension:
-                raise DimensionMismatch(
-                    f"exponent vector {exps} has length {len(exps)}, expected {dimension}"
-                )
-            if any(not isinstance(e, int) or e < 0 for e in exps):
-                raise DimensionMismatch(f"exponents must be non-negative integers: {exps}")
-            coeff = Fraction(coeff)
-            cur = canonical.get(exps)
-            coeff = coeff if cur is None else cur + coeff
-            if coeff:
-                canonical[exps] = coeff
-            elif cur is not None:
-                del canonical[exps]
+            key = _pack_checked(dimension, exps)
+            merged[key] = merged.get(key, 0) + Fraction(coeff)
+        merged = {key: c for key, c in merged.items() if c}
+        den = lcm(*(c.denominator for c in merged.values()))
+        # Over the lcm of reduced denominators the pair is already canonical.
         self._dimension = dimension
-        self._terms = canonical
+        self._den = den
+        self._terms = {key: c.numerator * (den // c.denominator) for key, c in merged.items()}
         self._hash = None
 
     @classmethod
-    def _make(cls, dimension: int, terms: dict) -> "Polynomial":
-        # Trusted fast path: terms must already be canonical.
+    def _make(cls, dimension: int, den: int, terms: dict) -> "Polynomial":
+        # Trusted fast path: (den, terms) must already be canonical.
         obj = object.__new__(cls)
         obj._dimension = dimension
+        obj._den = den
         obj._terms = terms
         obj._hash = None
         return obj
 
     @classmethod
     def zero(cls, dimension: int) -> "Polynomial":
-        return cls._make(dimension, {})
+        return cls._make(dimension, 1, {})
 
     @classmethod
     def one(cls, dimension: int) -> "Polynomial":
@@ -102,7 +102,7 @@ class Polynomial:
         value = Fraction(value)
         if not value:
             return cls.zero(dimension)
-        return cls._make(dimension, {(0,) * dimension: value})
+        return cls._make(dimension, value.denominator, {0: value.numerator})
 
     @classmethod
     def variable(cls, index: int, dimension: int) -> "Polynomial":
@@ -116,17 +116,34 @@ class Polynomial:
 
     @property
     def terms(self):
-        """Read-only view of the canonical term map."""
-        return MappingProxyType(self._terms)
+        """Read-only map from exponent tuples to ``Fraction``s, built per access."""
+        n, den = self._dimension, self._den
+        return MappingProxyType({unpack(key, n): Fraction(c, den) for key, c in self._terms.items()})
+
+    def integer_terms(self) -> tuple[int, dict]:
+        """The canonical pair ``(den, {exponent tuple: int})`` of this value."""
+        n = self._dimension
+        return self._den, {unpack(key, n): c for key, c in self._terms.items()}
+
+    def exponents(self) -> tuple[tuple[int, ...], ...]:
+        """The exponent tuples of the nonzero terms."""
+        n = self._dimension
+        return tuple(unpack(key, n) for key in self._terms)
+
+    def coefficient(self, exps) -> Fraction:
+        """The coefficient of the monomial with exponent tuple ``exps``."""
+        c = self._terms.get(_pack_checked(self._dimension, exps))
+        return Fraction(0) if c is None else Fraction(c, self._den)
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def is_constant(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and (0,) * self._dimension in self._terms)
+        return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
 
     def constant_term(self) -> Fraction:
-        return self._terms.get((0,) * self._dimension, Fraction(0))
+        c = self._terms.get(0)
+        return Fraction(0) if c is None else Fraction(c, self._den)
 
     # -- ring operations ------------------------------------------------
 
@@ -144,11 +161,24 @@ class Polynomial:
             return Polynomial.constant(self._dimension, other)
         return NotImplemented
 
+    def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
+        # self + sign * other over the lcm of the two denominators.
+        if not other._terms:
+            return self
+        da, db = self._den, other._den
+        if da == db:
+            kernel = add_terms if sign > 0 else sub_terms
+            return Polynomial._make(self._dimension, *normalize(da, kernel(self._terms, other._terms)))
+        g = gcd(da, db)
+        acc = scale_terms(self._terms, db // g)
+        iadd_scaled_terms(acc, other._terms, sign * (da // g))
+        return Polynomial._make(self._dimension, *normalize(da // g * db, acc))
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Polynomial._make(self._dimension, add_terms(self._terms, other._terms))
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -156,28 +186,36 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Polynomial._make(self._dimension, sub_terms(self._terms, other._terms))
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Polynomial._make(self._dimension, sub_terms(other._terms, self._terms))
+        return other._plus(self, -1)
 
     def __neg__(self):
-        return Polynomial._make(self._dimension, neg_terms(self._terms))
+        return Polynomial._make(self._dimension, self._den, neg_terms(self._terms))
 
     def __pos__(self):
         return self
 
+    def _scaled(self, num: int, den: int) -> "Polynomial":
+        return Polynomial._make(
+            self._dimension, *normalize(self._den * den, scale_terms(self._terms, num))
+        )
+
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._check_same_ring(other)
-            return Polynomial._make(self._dimension, mul_terms(self._terms, other._terms))
+            return Polynomial._make(
+                self._dimension,
+                *normalize(self._den * other._den, mul_terms(self._terms, other._terms)),
+            )
         if isinstance(other, Fraction):
-            return Polynomial._make(self._dimension, scale_terms(self._terms, other))
+            return self._scaled(other.numerator, other.denominator)
         if isinstance(other, int):
-            return Polynomial._make(self._dimension, scale_terms(self._terms, Fraction(other)))
+            return self._scaled(other, 1)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -190,20 +228,28 @@ class Polynomial:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
-        result = Polynomial.one(self._dimension)
-        base = self
+        # Powers of one canonical polynomial need no gcd: by Gauss's lemma
+        # the content of P^k is content(P)^k, coprime to den^k.
+        den, terms = 1, {0: 1}
+        base_den, base = self._den, self._terms
         k = exponent
         while k:
             if k & 1:
-                result = result * base
+                terms = mul_terms(terms, base)
+                den *= base_den
             k >>= 1
             if k:
-                base = base * base
-        return result
+                base = mul_terms(base, base)
+                base_den *= base_den
+        return Polynomial._make(self._dimension, den, terms)
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return self._dimension == other._dimension and self._terms == other._terms
+            return (
+                self._dimension == other._dimension
+                and self._den == other._den
+                and self._terms == other._terms
+            )
         if isinstance(other, (int, Fraction)):
             return self == Polynomial.constant(self._dimension, other)
         return NotImplemented
@@ -214,7 +260,7 @@ class Polynomial:
             if self.is_constant():
                 self._hash = hash(self.constant_term())
             else:
-                self._hash = hash((self._dimension, frozenset(self._terms.items())))
+                self._hash = hash((self._dimension, self._den, frozenset(self._terms.items())))
         return self._hash
 
     def __bool__(self):
@@ -222,37 +268,40 @@ class Polynomial:
 
     # -- calculus and structure ------------------------------------------
 
+    def _check_index(self, index: int) -> int:
+        if not 0 <= index < self._dimension:
+            raise IndexOutOfRange(f"variable index {index} not in 0..{self._dimension - 1}")
+        return EXPONENT_BITS * index
+
     def total_degree(self):
         """Max exponent sum, or ``MINUS_INFINITY`` for the zero polynomial."""
         if not self._terms:
             return MINUS_INFINITY
-        return max(sum(e) for e in self._terms)
+        n = self._dimension
+        return max(sum(unpack(key, n)) for key in self._terms)
 
     def degree_in(self, index: int):
-        if not 0 <= index < self._dimension:
-            raise IndexOutOfRange(f"variable index {index} not in 0..{self._dimension - 1}")
+        shift = self._check_index(index)
         if not self._terms:
             return MINUS_INFINITY
-        return max(e[index] for e in self._terms)
+        return max((key >> shift) & FIELD_MASK for key in self._terms)
 
     def partial_derivative(self, index: int) -> "Polynomial":
-        if not 0 <= index < self._dimension:
-            raise IndexOutOfRange(f"variable index {index} not in 0..{self._dimension - 1}")
+        shift = self._check_index(index)
+        unit = 1 << shift
         out = {}
-        for exps, coeff in self._terms.items():
-            e = exps[index]
+        for key, c in self._terms.items():
+            e = (key >> shift) & FIELD_MASK
             if e:
-                new = exps[:index] + (e - 1,) + exps[index + 1 :]
-                cur = out.get(new)
-                val = coeff * e if cur is None else cur + coeff * e
-                if val:
-                    out[new] = val
-                elif cur is not None:
-                    del out[new]
-        return Polynomial._make(self._dimension, out)
+                out[key - unit] = c * e
+        return Polynomial._make(self._dimension, *normalize(self._den, out))
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
-        """Replace variable i by images[i]; a ring homomorphism in self."""
+        """Replace variable i by images[i]; a ring homomorphism in self.
+
+        Terms go over one common denominator, the product of den_i ** e_i
+        for e_i the top exponent of variable i, and are summed as ints.
+        """
         if len(images) != self._dimension:
             raise ArityMismatch(
                 f"need {self._dimension} images, got {len(images)}"
@@ -261,66 +310,72 @@ class Polynomial:
         if len(target_dims) != 1:
             raise DimensionMismatch(f"images live in different dimensions: {sorted(target_dims)}")
         m = target_dims.pop()
-        powers: list[list] = [[None, im._terms] for im in images]  # im**0 unused
+        # powers[i][e] / dens[i] ** e is images[i] ** e.
+        powers: list[list] = [[None, im._terms] for im in images]
+        dens = [im._den for im in images]
+        common = 1
+        if self._terms and any(d != 1 for d in dens):
+            for i, d in enumerate(dens):
+                if d != 1:
+                    common *= d ** self.degree_in(i)
         acc: dict = {}
-        one_exps = (0,) * m
-        for exps, coeff in self._terms.items():
-            prod = None
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                cache = powers[i]
-                while len(cache) <= e:
-                    cache.append(mul_terms(cache[-1], cache[1]))
-                prod = cache[e] if prod is None else mul_terms(prod, cache[e])
-            if prod is None:
-                prod = {one_exps: Fraction(1)}
-            iadd_scaled_terms(acc, prod, coeff)
-        return Polynomial._make(m, acc)
+        for key, c in self._terms.items():
+            prod = _ONE
+            prod_den = 1
+            i = 0
+            while key:
+                e = key & FIELD_MASK
+                if e:
+                    cache = powers[i]
+                    while len(cache) <= e:
+                        cache.append(mul_terms(cache[-1], cache[1]))
+                    prod = cache[e] if prod is _ONE else mul_terms(prod, cache[e])
+                    if common != 1:
+                        prod_den *= dens[i] ** e
+                key >>= EXPONENT_BITS
+                i += 1
+            iadd_scaled_terms(acc, prod, c * (common // prod_den))
+        return Polynomial._make(m, *normalize(self._den * common, acc))
 
     def coefficient_of_power(self, index: int, power: int) -> "Polynomial":
         """Coefficient of x_index^power, as a polynomial with that slot zeroed."""
-        if not 0 <= index < self._dimension:
-            raise IndexOutOfRange(f"variable index {index} not in 0..{self._dimension - 1}")
-        out = {}
-        for exps, coeff in self._terms.items():
-            if exps[index] == power:
-                out[exps[:index] + (0,) + exps[index + 1 :]] = coeff
-        return Polynomial._make(self._dimension, out)
+        shift = self._check_index(index)
+        lowered = power << shift
+        out = {
+            key - lowered: c
+            for key, c in self._terms.items()
+            if (key >> shift) & FIELD_MASK == power
+        }
+        return Polynomial._make(self._dimension, *normalize(self._den, out))
 
     def divided_by_power(self, index: int, power: int):
         """Exact quotient by x_index^power, or None when not divisible."""
-        if not 0 <= index < self._dimension:
-            raise IndexOutOfRange(f"variable index {index} not in 0..{self._dimension - 1}")
+        shift = self._check_index(index)
+        if power < 0:
+            raise ValueError(f"power must be non-negative, got {power!r}")
+        lowered = power << shift
         out = {}
-        for exps, coeff in self._terms.items():
-            if exps[index] < power:
+        for key, c in self._terms.items():
+            if (key >> shift) & FIELD_MASK < power:
                 return None
-            out[exps[:index] + (exps[index] - power,) + exps[index + 1 :]] = coeff
-        return Polynomial._make(self._dimension, out)
+            out[key - lowered] = c
+        return Polynomial._make(self._dimension, self._den, out)
 
     def used_variables(self) -> frozenset[int]:
-        used = set()
-        for exps in self._terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used.add(i)
-        return frozenset(used)
+        bits = reduce(or_, self._terms, 0)
+        return frozenset(
+            i for i in range(self._dimension) if (bits >> (EXPONENT_BITS * i)) & FIELD_MASK
+        )
 
     def depends_only_on(self, indices: Iterable[int]) -> bool:
-        allowed = set(indices)
-        return all(
-            all(e == 0 or i in allowed for i, e in enumerate(exps)) for exps in self._terms
-        )
+        return self.used_variables() <= set(indices)
 
     def extend(self, extra: int) -> "Polynomial":
         """Same polynomial viewed in ``dimension + extra`` variables."""
         if extra == 0:
             return self
-        pad = (0,) * extra
-        return Polynomial._make(
-            self._dimension + extra, {exps + pad: c for exps, c in self._terms.items()}
-        )
+        # New variables take the high fields, so the packed keys are unchanged.
+        return Polynomial._make(self._dimension + extra, self._den, self._terms)
 
     def __str__(self):
         from .grammar import format_polynomial
@@ -331,13 +386,26 @@ class Polynomial:
         return f"Polynomial({self._dimension}, {str(self)!r})"
 
 
+#: The numerator of the constant 1, as a term map.
+_ONE = {0: 1}
+
+
+def _pack_checked(dimension: int, exps) -> int:
+    exps = tuple(exps)
+    if len(exps) != dimension:
+        raise DimensionMismatch(
+            f"exponent vector {exps} has length {len(exps)}, expected {dimension}"
+        )
+    if any(not isinstance(e, int) or e < 0 for e in exps):
+        raise DimensionMismatch(f"exponents must be non-negative integers: {exps}")
+    return pack(exps)
+
+
 @lru_cache(maxsize=None)
 def _cached_variable(index: int, dimension: int) -> Polynomial:
-    exps = tuple(1 if i == index else 0 for i in range(dimension))
-    return Polynomial._make(dimension, {exps: Fraction(1)})
+    return Polynomial._make(dimension, 1, {1 << (EXPONENT_BITS * index): 1})
 
 
 def variables(dimension: int) -> tuple[Polynomial, ...]:
     """The coordinate functions x_1, ..., x_n as polynomials."""
     return tuple(Polynomial.variable(i, dimension) for i in range(dimension))
-

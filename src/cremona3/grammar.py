@@ -20,6 +20,7 @@ corrections after.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .errors import ArityMismatch, ParseError, UnknownVariable
@@ -220,9 +221,14 @@ def parse_map(
 
 def format_rational(value) -> str:
     value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return _format_ratio(value.numerator, value.denominator)
+
+
+def _format_ratio(numerator: int, denominator: int) -> str:
+    g = gcd(numerator, denominator)
+    if g != denominator:
+        return f"{numerator // g}/{denominator // g}"
+    return str(numerator // g)
 
 
 def _term_order_key(exps):
@@ -235,17 +241,18 @@ def format_polynomial(p: Polynomial, names: Optional[Sequence[str]] = None) -> s
         names = default_variable_names(p.dimension)
     if p.is_zero():
         return "0"
+    den, numerators = p.integer_terms()
     pieces = []
-    for exps in sorted(p.terms, key=_term_order_key):
-        coeff = p.terms[exps]
+    for exps in sorted(numerators, key=_term_order_key):
+        coeff = numerators[exps]
         sign = "-" if coeff < 0 else "+"
         factors = []
         magnitude = -coeff if coeff < 0 else coeff
         monomial = [
             (names[i], e) for i, e in enumerate(exps) if e
         ]
-        if magnitude != 1 or not monomial:
-            factors.append(format_rational(magnitude))
+        if magnitude != den or not monomial:
+            factors.append(_format_ratio(magnitude, den))
         for name, e in monomial:
             factors.append(name if e == 1 else f"{name}^{e}")
         pieces.append((sign, "*".join(factors)))

@@ -167,7 +167,7 @@ def is_in_K(q: Polynomial) -> bool:
         c = kernel_coordinates(q)
     except NotInKernelRing:
         return False
-    return all(b >= 1 and a == 2 * (b - 1) for a, b in c.terms)
+    return all(b >= 1 and a == 2 * (b - 1) for a, b in c.exponents())
 
 
 def character_lambda(k: int, t: TorusElement) -> Fraction:
@@ -210,11 +210,12 @@ def lambda_degree(q: Polynomial) -> int:
         c = kernel_coordinates(q)
     except NotInKernelRing as exc:
         raise NotMonomialInK(str(exc)) from exc
-    if len(c.terms) != 1:
+    monomials = c.exponents()
+    if len(monomials) != 1:
         raise NotMonomialInK(
-            f"exponent has {len(c.terms)} kernel monomials; need exactly one"
+            f"exponent has {len(monomials)} kernel monomials; need exactly one"
         )
-    ((a, b),) = c.terms
+    ((a, b),) = monomials
     if b < 1 or a != 2 * (b - 1):
         raise NotMonomialInK(f"Z^{a} P^{b} is not of the form Z^(2k) P^(k+1)")
     return b - 1
@@ -232,7 +233,7 @@ def commutes_with_weight_scaling(m: PolyMap, weights: Sequence[int]) -> bool:
             f"map dimension {m.dimension} != number of weights {len(weights)}"
         )
     for target, comp in zip(weights, m.components):
-        for exps in comp.terms:
+        for exps in comp.exponents():
             if sum(w * e for w, e in zip(weights, exps)) != target:
                 return False
     return True

@@ -124,6 +124,18 @@ def test_invert_exponential_built_past_the_default_bound():
     assert (inverse.q, inverse.derivation, inverse.scale) == (Z, slow, -1)
 
 
+def test_evaluate_exponential_built_past_the_default_bound():
+    # to_map sums the series within the bound the generator was validated
+    # at, and the inverse keeps that bound.
+    from cremona3 import Derivation
+
+    slow = Derivation((Y ** 70, Z ** 2, Polynomial.zero(3)))
+    g = ExponentialGenerator(Polynomial.one(3), slow, bound=100)
+    assert g.inverse().bound == 100
+    assert g.to_map().components[1:] == (Y + Z ** 2, Z)
+    assert AutWord(3, [g, g.inverse()]).evaluate().is_identity()
+
+
 def test_invert_triangular_back_substitution():
     gen = TriangularGenerator((X + Y ** 2, Y + 1, Z))
     inverse_map = AutWord(3, [gen]).inverse().evaluate()

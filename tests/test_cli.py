@@ -2,6 +2,7 @@
 
 import pytest
 
+from cremona3._termops import MAX_EXPONENT
 from cremona3.cli import main
 
 NAGATA_TRIPLE = (
@@ -29,6 +30,15 @@ def test_parse_reorders_terms(capsys):
     code, out, _ = run(capsys, "parse", "-1/2*y^2 + x*z")
     assert code == 0
     assert out == "x*z - 1/2*y^2\n"
+
+
+def test_parse_exponent_past_the_limit_exits_3(capsys):
+    code, out, err = run(capsys, "parse", f"x^{MAX_EXPONENT + 1}")
+    assert code == 3
+    assert out == ""
+    assert "exponent" in err
+    code, out, _ = run(capsys, "parse", f"x^{MAX_EXPONENT}")
+    assert (code, out) == (0, f"x^{MAX_EXPONENT}\n")
 
 
 def test_parse_error_exits_2(capsys):

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from cremona3 import (
     ArityMismatch,
     DimensionMismatch,
+    DomainError,
     IndexOutOfRange,
     MINUS_INFINITY,
     Polynomial,
     variables,
 )
+from cremona3._termops import MAX_EXPONENT
 from oracle import (
     as_dict,
     from_poly,
@@ -66,6 +68,20 @@ def test_construction_rejects_negative_exponents():
         Polynomial(2, {(-1, 0): 1})
 
 
+def test_exponents_past_the_packed_field_raise_domain_error():
+    top = Polynomial(3, {(0, MAX_EXPONENT, 0): 1})
+    assert X ** MAX_EXPONENT == Polynomial(3, {(MAX_EXPONENT, 0, 0): 1})
+    assert (X ** MAX_EXPONENT * top).degree_in(1) == MAX_EXPONENT
+    with pytest.raises(DomainError):
+        X ** (MAX_EXPONENT + 1)
+    with pytest.raises(DomainError):
+        X ** 2**40
+    with pytest.raises(DomainError):
+        top * Y
+    with pytest.raises(DomainError):
+        Polynomial(3, {(0, 0, MAX_EXPONENT + 1): 1})
+
+
 def test_zero_is_canonical_and_tagged_with_dimension():
     zero = Polynomial.zero(3)
     assert zero.is_zero()
@@ -94,6 +110,13 @@ def test_coefficients_are_reduced_rationals():
     p = Polynomial(1, {(1,): Fraction(2, 4), (0,): Fraction(-1, -2)})
     assert dict(p.terms) == {(1,): Fraction(1, 2), (0,): Fraction(1, 2)}
     assert Fraction(0, 7) == Fraction(0, 1)
+    # Stored as one denominator over integers that share no factor with it.
+    assert p.integer_terms() == (2, {(1,): 1, (0,): 1})
+    q = X / 6 + Fraction(2, 3) * Y - 1
+    assert q.integer_terms() == (6, {(1, 0, 0): 1, (0, 1, 0): 4, (0, 0, 0): -6})
+    assert (q * 3).integer_terms() == (2, {(1, 0, 0): 1, (0, 1, 0): 4, (0, 0, 0): -6})
+    assert sorted(q.exponents()) == [(0, 0, 0), (0, 1, 0), (1, 0, 0)]
+    assert (q.coefficient((0, 1, 0)), q.coefficient((0, 0, 5))) == (Fraction(2, 3), 0)
 
 
 # -- add -----------------------------------------------------------------

@@ -1,31 +1,41 @@
-"""The term-map kernels agree with the brute-force oracle and keep maps canonical."""
+"""The integer term-map kernels agree with the brute-force oracle and keep maps canonical.
+
+Kernel inputs are dicts from packed monomials to ints; ``pack``/``unpack``
+convert the oracle's exponent tuples, so every comparison is made on
+exponent tuples by code that shares nothing with the kernels.
+"""
 
 import random
-from fractions import Fraction
 
 import pytest
 
+from cremona3 import DomainError
 from cremona3._termops import (
+    EXPONENT_BITS,
+    MAX_EXPONENT,
     add_terms,
     iadd_scaled_terms,
     mul_terms,
     neg_terms,
+    normalize,
+    pack,
     scale_terms,
     sub_terms,
+    unpack,
 )
-from oracle import normalize, o_add, o_mul, o_neg
+from oracle import normalize as o_normalize, o_add, o_mul, o_neg
 
 DIMENSION = 3
 ONE = (0,) * DIMENSION
 
 
-def _random_terms(rng, max_terms=6):
-    # Exponents stay small so that coinciding monomials, and with them
-    # cancellations, are common.
+def _random_terms(rng, max_terms=6, exponents=(0, 2)):
+    # Exponents stay in a narrow range so that coinciding monomials, and
+    # with them cancellations, are common.
     out = {}
     for _ in range(rng.randint(0, max_terms)):
-        exps = tuple(rng.randint(0, 2) for _ in range(DIMENSION))
-        out[exps] = out.get(exps, Fraction(0)) + Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        exps = tuple(rng.randint(*exponents) for _ in range(DIMENSION))
+        out[exps] = out.get(exps, 0) + rng.choice((-1, 1)) * rng.randint(1, 10**rng.randint(1, 25))
     return {e: c for e, c in out.items() if c}
 
 
@@ -33,9 +43,17 @@ def _random_pair(rng):
     if rng.random() < 0.2:
         # c(m + n) and d(m - n): the cross terms m*n of their product cancel.
         m, n = rng.sample([(i, j, k) for i in range(3) for j in range(3) for k in range(3)], 2)
-        c = Fraction(rng.randint(1, 9), rng.randint(1, 6))
-        d = Fraction(rng.randint(1, 9), rng.randint(1, 6))
+        c = rng.randint(1, 9)
+        d = rng.randint(1, 9)
         return {m: c, n: c}, {m: d, n: -d}
+    if rng.random() < 0.2:
+        # Fields one below the guard: every product exponent is at most
+        # MAX_EXPONENT, and reaches it.
+        a = _random_terms(rng, exponents=(MAX_EXPONENT - 2, MAX_EXPONENT - 1))
+        b = _random_terms(rng, exponents=(0, 1))
+        if rng.random() < 0.5:
+            a, b = b, a
+        return a, b
     a = _random_terms(rng)
     b = _random_terms(rng)
     if rng.random() < 0.3:
@@ -43,6 +61,14 @@ def _random_pair(rng):
         sign = rng.choice((1, -1))
         b.update({e: sign * c for e, c in a.items() if rng.random() < 0.5})
     return a, b
+
+
+def _packed(terms):
+    return {pack(e): c for e, c in terms.items()}
+
+
+def _unpacked(terms):
+    return {unpack(key, DIMENSION): c for key, c in terms.items()}
 
 
 def _as_oracle(terms):
@@ -71,23 +97,55 @@ def test_kernel_matches_oracle_on_random_inputs(name, kernel, oracle):
     rng = random.Random(f"termops:{name}")
     for _ in range(300):
         a, b = _random_pair(rng)
-        scalar = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        got = kernel(a, b, scalar)
+        scalar = rng.randint(-4, 4)
+        got = kernel(_packed(a), _packed(b), scalar)
         # normalize drops zeros, so equality also checks the result is canonical.
-        assert got == normalize(oracle(_as_oracle(a), _as_oracle(b), scalar))
-        assert all(type(c) is Fraction for c in got.values())
+        assert _unpacked(got) == o_normalize(oracle(_as_oracle(a), _as_oracle(b), scalar))
+        assert all(type(c) is int for c in got.values())
 
 
 def test_kernels_do_not_mutate_inputs():
-    a = {(1, 0, 0): Fraction(1)}
-    b = {(1, 0, 0): Fraction(-1), (0, 1, 0): Fraction(2)}
+    a = _packed({(1, 0, 0): 1})
+    b = _packed({(1, 0, 0): -1, (0, 1, 0): 2})
     snapshot_a, snapshot_b = dict(a), dict(b)
     add_terms(a, b)
     sub_terms(a, b)
     mul_terms(a, b)
     neg_terms(a)
-    scale_terms(a, Fraction(3))
-    iadd_scaled_terms(dict(a), b, Fraction(3))
+    scale_terms(a, 3)
+    iadd_scaled_terms(dict(a), b, 3)
+    normalize(6, a)
     assert a == snapshot_a and b == snapshot_b
     assert add_terms(a, {}) is not a
     assert add_terms({}, b) is not b
+
+
+def test_pack_round_trips_and_multiplies_by_addition():
+    rng = random.Random("termops:pack")
+    for _ in range(200):
+        e = tuple(rng.randint(0, MAX_EXPONENT) for _ in range(DIMENSION))
+        f = tuple(rng.randint(0, MAX_EXPONENT - g) for g in e)
+        assert unpack(pack(e), DIMENSION) == e
+        assert unpack(pack(e) + pack(f), DIMENSION) == tuple(x + y for x, y in zip(e, f))
+    assert pack(ONE) == 0
+    assert pack((0, 1)) == 1 << EXPONENT_BITS
+
+
+def test_an_exponent_past_the_guard_raises_and_never_carries():
+    top = pack((MAX_EXPONENT, 0, 0))
+    x, y = pack((1, 0, 0)), pack((0, 1, 0))
+    assert _unpacked(mul_terms({top: 1}, {y: 1})) == {(MAX_EXPONENT, 1, 0): 1}
+    with pytest.raises(DomainError):
+        mul_terms({top: 1}, {x: 1})
+    with pytest.raises(DomainError):
+        mul_terms({top: 1, y: 1}, {x: 1, y: 1})
+    with pytest.raises(DomainError):
+        pack((0, MAX_EXPONENT + 1, 0))
+
+
+def test_normalize_divides_out_the_common_content():
+    m = pack((1, 0, 0))
+    assert normalize(6, {0: 4, m: -10}) == (3, {0: 2, m: -5})
+    assert normalize(6, {0: 5, m: 3}) == (6, {0: 5, m: 3})
+    assert normalize(1, {m: 4}) == (1, {m: 4})
+    assert normalize(9, {}) == (1, {})
