@@ -10,7 +10,10 @@ from a raw map: affine parts must be invertible, triangular components
 must have the shape c_i*x_i + h_i(x_{i+1}..x_n) with c_i != 0, exponents
 must lie in the kernel of a locally nilpotent derivation, scalars must
 be nonzero.  Inversion is defined on words (each generator has a
-closed-form inverse); raw maps are never inverted.
+closed-form inverse); raw maps are never inverted.  Affine and
+exponential inverses are built from the validated parts of the
+generator (the affine one from the matrix inverse its validation
+computed) and are never validated again.
 """
 
 from __future__ import annotations
@@ -104,30 +107,10 @@ def parse_poly_map(text: str, dimension: Optional[int] = None) -> PolyMap:
 # -- exact linear algebra over the rationals ---------------------------
 
 
-def _determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(rows)
-    m = [list(map(Fraction, row)) for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
-
-
 def _matrix_inverse(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
+    """Gauss-Jordan elimination; raises InvalidGenerator if singular."""
     n = len(rows)
-    m = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    m = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col]), None)
         if pivot is None:
@@ -154,7 +137,7 @@ class GeneratorShape(Enum):
 class AffineGenerator:
     """x -> A x + b with A invertible."""
 
-    __slots__ = ("matrix", "translation")
+    __slots__ = ("matrix", "translation", "_inverse_matrix")
 
     def __init__(self, matrix: Sequence[Sequence], translation: Sequence):
         matrix = tuple(tuple(Fraction(v) for v in row) for row in matrix)
@@ -162,8 +145,7 @@ class AffineGenerator:
         n = len(matrix)
         if n == 0 or any(len(row) != n for row in matrix) or len(translation) != n:
             raise InvalidGenerator("affine generator needs a square matrix and a matching vector")
-        if not _determinant(matrix):
-            raise InvalidGenerator("affine matrix is singular")
+        self._inverse_matrix = _matrix_inverse(matrix)
         self.matrix = matrix
         self.translation = translation
 
@@ -173,23 +155,24 @@ class AffineGenerator:
 
     def to_map(self) -> PolyMap:
         n = self.dimension
-        xs = [Polynomial.variable(j, n) for j in range(n)]
-        comps = []
-        for i in range(n):
-            comp = Polynomial.constant(n, self.translation[i])
-            for j in range(n):
-                if self.matrix[i][j]:
-                    comp = comp + xs[j] * self.matrix[i][j]
-            comps.append(comp)
-        return PolyMap(comps)
+        units = [tuple(int(j == k) for k in range(n)) for j in range(n)]
+        return PolyMap(
+            tuple(
+                Polynomial(n, [((0,) * n, b), *zip(units, row)])
+                for row, b in zip(self.matrix, self.translation)
+            )
+        )
 
     def inverse(self) -> "AffineGenerator":
-        inv = _matrix_inverse(self.matrix)
-        shift = tuple(
-            -sum((inv[i][j] * self.translation[j] for j in range(self.dimension)), Fraction(0))
-            for i in range(self.dimension)
+        # x -> A^-1 (x - b); A^-1 was computed at validation and its own
+        # inverse is A, so nothing is eliminated or re-validated here.
+        inv = AffineGenerator.__new__(AffineGenerator)
+        inv.matrix, inv._inverse_matrix = self._inverse_matrix, self.matrix
+        inv.translation = tuple(
+            -sum((a * b for a, b in zip(row, self.translation)), Fraction(0))
+            for row in self._inverse_matrix
         )
-        return AffineGenerator(inv, shift)
+        return inv
 
     def __eq__(self, other):
         if isinstance(other, AffineGenerator):
@@ -411,17 +394,16 @@ def is_tame_generator(m: PolyMap) -> GeneratorShape:
     still be a product of tame generators.
     """
     n = m.dimension
-    degrees = [c.total_degree() for c in m.components]
-    if all(d <= 1 for d in degrees):
-        matrix = [
-            [
-                c.coefficient(tuple(1 if j == k else 0 for k in range(n)))
-                for j in range(n)
-            ]
-            for c in m.components
-        ]
-        if _determinant(matrix):
+    if all(c.total_degree() <= 1 for c in m.components):
+        units = [tuple(int(j == k) for k in range(n)) for j in range(n)]
+        try:
+            AffineGenerator(
+                [[c.coefficient(u) for u in units] for c in m.components],
+                [c.coefficient((0,) * n) for c in m.components],
+            )
             return GeneratorShape.AFFINE
+        except InvalidGenerator:
+            pass
     try:
         TriangularGenerator(m.components)
     except (InvalidGenerator, DimensionMismatch):

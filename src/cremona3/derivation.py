@@ -167,27 +167,13 @@ class Derivation:
         """exp(tD) with t adjoined as a fresh last variable.
 
         Returns n polynomials in n+1 variables; specializing t to 1
-        recovers ``exp_map`` and t to 0 the identity.
+        recovers ``exp_map`` and t to 0 the identity.  This is the
+        exponential of t*D' for the lift D' of D that kills t: t lies in
+        the kernel, so (tD')^k(x_i) = t^k D^k(x_i).
         """
         n = self.dimension
-        components = []
-        for i in range(n):
-            g = Polynomial.variable(i, n)
-            acc = g.extend(1)
-            k = 0
-            while True:
-                g = self.apply(g)
-                if g.is_zero():
-                    break
-                k += 1
-                if k > bound:
-                    raise BoundExceeded(
-                        f"flow series for variable {i} did not terminate within {bound} steps"
-                    )
-                t_power = Polynomial(n + 1, {(0,) * n + (k,): Fraction(1, math.factorial(k))})
-                acc = acc + g.extend(1) * t_power
-            components.append(acc)
-        return tuple(components)
+        lifted = Derivation(tuple(img.extend(1) for img in self.images) + (Polynomial.zero(n + 1),))
+        return lifted.scaled_by(Polynomial.variable(n, n + 1)).exp_map(bound)[:n]
 
 
 def partial_derivation(index: int, dimension: int) -> Derivation:

@@ -25,7 +25,7 @@ from .autgroup import (
 )
 from .centralizer import Decomposition, decompose, reconstruct
 from .derivation import Derivation, Nilpotency, from_kernel_coordinates, kernel_coordinates
-from .errors import NotMonomialInK
+from .errors import InvalidGenerator, NotMonomialInK
 from .exactpoly import Polynomial
 from .grammar import format_polynomial, parse_polynomial
 from .nagata import (
@@ -156,7 +156,7 @@ def random_affine_generator(rng: random.Random, dimension: int = 3) -> AffineGen
         ]
         try:
             return AffineGenerator(matrix, [Fraction(rng.randint(-2, 2)) for _ in range(dimension)])
-        except Exception:
+        except InvalidGenerator:
             continue
 
 
@@ -324,24 +324,29 @@ def check_semidirect_normality(rng: random.Random, trials: int) -> CheckResult:
     return CheckResult(name, True)
 
 
+def _character_failure(samples) -> str:
+    """Detail for the first (k, t, s) whose conjugate is not s*(bg)^(2k+1).
+
+    ``samples`` is consumed only up to that failure; "" if all pass.
+    """
+    for k, t, s in samples:
+        u = UnipotentElement(k_monomial(k), s)
+        conjugated = torus_conjugate(t, u)
+        expected = UnipotentElement(k_monomial(k), s * character_lambda(k, t))
+        if conjugated != expected or conjugated.to_map() != expected.to_map():
+            return (
+                f"k={k}, beta={t.beta}, gamma={t.gamma}, s={s}: got exponent "
+                f"{format_polynomial(conjugated.kernel_part(), ('Z', 'P'))}"
+            )
+    return ""
+
+
 def check_torus_characters(rng: random.Random, trials: int) -> CheckResult:
     """Conjugation scales exp(s p(pz^2)^k D) by exactly (bg)^(2k+1)."""
-    name = "torus-characters"
-    for k in range(4):
-        for _ in range(trials):
-            t = random_torus(rng)
-            s = random_nonzero_rational(rng)
-            u = UnipotentElement(k_monomial(k), s)
-            conjugated = torus_conjugate(t, u)
-            expected = UnipotentElement(k_monomial(k), s * character_lambda(k, t))
-            if conjugated != expected or conjugated.to_map() != expected.to_map():
-                return CheckResult(
-                    name,
-                    False,
-                    f"k={k}, beta={t.beta}, gamma={t.gamma}, s={s}: got exponent "
-                    f"{format_polynomial(conjugated.kernel_part(), ('Z', 'P'))}",
-                )
-    return CheckResult(name, True)
+    detail = _character_failure(
+        (k, random_torus(rng), random_nonzero_rational(rng)) for k in range(4) for _ in range(trials)
+    )
+    return CheckResult("torus-characters", not detail, detail)
 
 
 def _maps_equal(name: str, lhs: PolyMap, rhs: PolyMap) -> CheckResult:
@@ -406,24 +411,10 @@ def verify_theorem_identities() -> tuple[CheckResult, ...]:
         (Fraction(1, 2), Fraction(-3), Fraction(2)),
         (Fraction(-2), Fraction(5), Fraction(-1, 2)),
     )
-    character_ok = True
-    character_detail = ""
-    for k in range(4):
-        for beta, gamma, s in samples:
-            t = TorusElement(beta, gamma)
-            u = UnipotentElement(k_monomial(k), s)
-            conjugated_u = torus_conjugate(t, u)
-            expected = UnipotentElement(k_monomial(k), s * character_lambda(k, t))
-            if conjugated_u != expected or conjugated_u.to_map() != expected.to_map():
-                character_ok = False
-                character_detail = (
-                    f"k={k}, beta={beta}, gamma={gamma}: exponent "
-                    f"{format_polynomial(conjugated_u.kernel_part(), ('Z', 'P'))}"
-                )
-                break
-        if not character_ok:
-            break
-    checks.append(CheckResult("torus action by character (bg)^(2k+1)", character_ok, character_detail))
+    detail = _character_failure(
+        (k, TorusElement(beta, gamma), s) for k in range(4) for beta, gamma, s in samples
+    )
+    checks.append(CheckResult("torus action by character (bg)^(2k+1)", not detail, detail))
 
     return tuple(checks)
 

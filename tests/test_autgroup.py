@@ -1,5 +1,6 @@
 """Automorphism words: evaluation, composition, inversion, classification."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from cremona3 import (
     standard_objects,
     variables,
 )
+from cremona3 import autgroup, verify
 from cremona3.verify import random_tame_word
 
 X, Y, Z = variables(3)
@@ -208,6 +210,13 @@ def test_classify_nagata_is_neither():
     assert is_tame_generator(standard_objects().h) is GeneratorShape.NEITHER
 
 
+def test_classify_affine_needing_a_row_swap():
+    # No x term in the first component: the first pivot needs a row swap,
+    # and the map is not triangular either.
+    m = PolyMap((Y + 1, 2 * X - Z, X + Z))
+    assert is_tame_generator(m) is GeneratorShape.AFFINE
+
+
 def test_classify_singular_linear_is_neither():
     assert is_tame_generator(PolyMap((X + Y, X + Y, Z))) is GeneratorShape.NEITHER
 
@@ -218,6 +227,18 @@ def test_classify_singular_linear_is_neither():
 def test_affine_rejects_singular_matrix():
     with pytest.raises(InvalidGenerator):
         AffineGenerator(((1, 1, 0), (1, 1, 0), (0, 0, 1)), (0, 0, 0))
+
+
+def test_affine_rejects_matrices_singular_only_at_the_last_pivot():
+    singular = [
+        ((1, 2, 3), (4, 5, 6), (7, 8, 9)),
+        ((0, 1, 1), (1, 0, 1), (1, 1, 2)),
+        ((1, 0, 0, 1), (0, 2, 0, 1), (0, 0, 3, 1), (1, HALF, Fraction(1, 3), Fraction(49, 36))),
+    ]
+    for matrix in singular:
+        assert _leibniz_det(matrix) == 0
+        with pytest.raises(InvalidGenerator, match="singular"):
+            AffineGenerator(matrix, (0,) * len(matrix))
 
 
 def test_triangular_rejects_missing_diagonal():
@@ -293,3 +314,113 @@ def test_random_triangular_inverses_compose_to_identity():
         backward = gen.inverse().to_map()
         assert compose(forward, backward).is_identity()
         assert compose(backward, forward).is_identity()
+
+
+# -- affine matrices -------------------------------------------------------------
+
+
+def _leibniz_det(a):
+    # Leibniz expansion: shares no code with the elimination under test.
+    n = len(a)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total
+
+
+def _product(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def _seeded_affine_cases():
+    """Dense and sparse Fraction matrices, n = 1..4, half with a zero at (0, 0)."""
+    rng = random.Random(53)
+    for n in range(1, 5):
+        for density in (1.0, 0.4):
+            for trial in range(20):
+                matrix = [
+                    [
+                        Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                        if rng.random() < density
+                        else Fraction(0)
+                        for _ in range(n)
+                    ]
+                    for _ in range(n)
+                ]
+                if trial % 2:
+                    matrix[0][0] = Fraction(0)
+                yield matrix, [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+
+
+def test_affine_inverse_is_the_matrix_inverse():
+    swaps = singular = 0
+    for matrix, shift in _seeded_affine_cases():
+        n = len(matrix)
+        if not _leibniz_det(matrix):
+            singular += 1
+            with pytest.raises(InvalidGenerator, match="singular"):
+                AffineGenerator(matrix, shift)
+            continue
+        swaps += n > 1 and not matrix[0][0]
+        g = AffineGenerator(matrix, shift)
+        inv = g.inverse()
+        identity = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+        assert _product(g.matrix, inv.matrix) == identity
+        assert _product(inv.matrix, g.matrix) == identity
+        assert inv.inverse() == g
+        assert compose(g.to_map(), inv.to_map()).is_identity()
+    assert swaps >= 20 and singular >= 10
+
+
+def test_affine_inverses_need_no_further_elimination(monkeypatch):
+    generators = [AffineGenerator(m, b) for m, b in _seeded_affine_cases() if _leibniz_det(m)][::7]
+
+    def refuse(rows):
+        raise AssertionError("affine generator validated twice")
+
+    monkeypatch.setattr(autgroup, "_matrix_inverse", refuse)
+    for g in generators:
+        inv = g.inverse()
+        assert compose(g.to_map(), inv.to_map()).is_identity()
+        assert compose(inv.to_map(), inv.inverse().to_map()).is_identity()
+
+
+def test_affine_to_map_matches_the_matrix():
+    g = AffineGenerator(((0, 2, 0), (Fraction(1, 3), 0, -1), (0, 0, 1)), (1, 0, Fraction(-1, 2)))
+    assert g.to_map() == PolyMap((2 * Y + 1, Fraction(1, 3) * X - Z, Z - HALF))
+
+
+def test_random_affine_generator_retries_only_singular_draws(monkeypatch):
+    calls = []
+
+    def flaky(matrix, translation):
+        calls.append(matrix)
+        if len(calls) < 3:
+            raise InvalidGenerator("affine matrix is singular")
+        return AffineGenerator(matrix, translation)
+
+    monkeypatch.setattr(verify, "AffineGenerator", flaky)
+    assert isinstance(verify.random_affine_generator(random.Random(0)), AffineGenerator)
+    assert len(calls) == 3
+
+    # A defect raises once; a sampler that swallowed it would return the
+    # next draw instead of failing (or spin forever on a constant defect).
+    defects = []
+
+    def broken_once(matrix, translation):
+        if not defects:
+            defects.append(matrix)
+            raise TypeError("defect in the constructor")
+        return AffineGenerator(matrix, translation)
+
+    monkeypatch.setattr(verify, "AffineGenerator", broken_once)
+    with pytest.raises(TypeError):
+        verify.random_affine_generator(random.Random(0))

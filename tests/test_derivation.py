@@ -181,6 +181,11 @@ def test_formal_flow_of_partial_derivation():
     assert E.formal_flow() == (x + t, y, z)
 
 
+def test_formal_flow_bound_exceeded():
+    with pytest.raises(BoundExceeded, match="within 8 steps"):
+        EULER.formal_flow(8)
+
+
 def test_formal_flow_specializations():
     flow = D.formal_flow()
     at_zero = [c.substitute([X, Y, Z, Polynomial.zero(3)]) for c in flow]
