@@ -10,19 +10,23 @@ from a raw map: affine parts must be invertible, triangular components
 must have the shape c_i*x_i + h_i(x_{i+1}..x_n) with c_i != 0, exponents
 must lie in the kernel of a locally nilpotent derivation, scalars must
 be nonzero.  Inversion is defined on words (each generator has a
-closed-form inverse); raw maps are never inverted.  Affine and
-exponential inverses are built from the validated parts of the
+closed-form inverse); raw maps are never inverted.  Affine, triangular
+and exponential inverses are built from the validated parts of the
 generator (the affine one from the matrix inverse its validation
-computed) and are never validated again.
+computed, the triangular one from its diagonal and tails) and are never
+validated again.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from . import grammar
+from ._termops import EXPONENT_BITS
 from .derivation import DEFAULT_BOUND, Derivation, Nilpotency
 from .errors import DimensionMismatch, InvalidGenerator
 from .exactpoly import Polynomial
@@ -154,14 +158,14 @@ class AffineGenerator:
         return len(self.matrix)
 
     def to_map(self) -> PolyMap:
-        n = self.dimension
-        units = [tuple(int(j == k) for k in range(n)) for j in range(n)]
-        return PolyMap(
-            tuple(
-                Polynomial(n, [((0,) * n, b), *zip(units, row)])
-                for row, b in zip(self.matrix, self.translation)
-            )
-        )
+        # A row's monomials are distinct: over its lcm the pair is canonical.
+        keys = (0, *(1 << (EXPONENT_BITS * j) for j in range(self.dimension)))
+        components = []
+        for row, b in zip(self.matrix, self.translation):
+            den = lcm(b.denominator, *(a.denominator for a in row))
+            terms = {k: c.numerator * (den // c.denominator) for k, c in zip(keys, (b, *row)) if c}
+            components.append(Polynomial._make(self.dimension, den, terms))
+        return PolyMap(components)
 
     def inverse(self) -> "AffineGenerator":
         # x -> A^-1 (x - b); A^-1 was computed at validation and its own
@@ -221,15 +225,19 @@ class TriangularGenerator:
         return PolyMap(self.components)
 
     def inverse(self) -> "TriangularGenerator":
-        # Back-substitution from the last component upward.
+        # Back-substitution from the last component upward; the inverse has
+        # diagonal 1/c_i and tails -h_i(later inverse components)/c_i.
         n = self.dimension
         xs = [Polynomial.variable(i, n) for i in range(n)]
-        inverse_components: list[Polynomial] = list(xs)
+        inv = TriangularGenerator.__new__(TriangularGenerator)
+        inv._diagonal = tuple(Fraction(1) / c for c in self._diagonal)
+        components, tails = list(xs), list(xs)
         for i in range(n - 1, -1, -1):
-            images = xs[: i + 1] + inverse_components[i + 1 :]
-            shifted_tail = self._tails[i].substitute(images)
-            inverse_components[i] = (xs[i] - shifted_tail) / self._diagonal[i]
-        return TriangularGenerator(inverse_components)
+            images = xs[: i + 1] + components[i + 1 :]
+            tails[i] = -(self._tails[i].substitute(images) * inv._diagonal[i])
+            components[i] = xs[i] * inv._diagonal[i] + tails[i]
+        inv.components, inv._tails = tuple(components), tuple(tails)
+        return inv
 
     def __eq__(self, other):
         if isinstance(other, TriangularGenerator):
@@ -351,10 +359,9 @@ class AutWord:
         self.factors = factors
 
     def evaluate(self) -> PolyMap:
-        result = PolyMap.identity(self.dimension)
-        for g in self.factors:
-            result = result.compose(g.to_map())
-        return result
+        if not self.factors:
+            return PolyMap.identity(self.dimension)
+        return reduce(PolyMap.compose, (g.to_map() for g in self.factors))
 
     def inverse(self) -> "AutWord":
         return AutWord(self.dimension, tuple(g.inverse() for g in reversed(self.factors)))

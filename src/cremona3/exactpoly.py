@@ -67,16 +67,16 @@ class Polynomial:
         if not isinstance(dimension, int) or dimension < 1:
             raise DimensionMismatch(f"dimension must be a positive integer, got {dimension!r}")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        merged: dict[int, Fraction] = {}
+        merged: dict[int, Scalar] = {}
         for exps, coeff in items:
             key = _pack_checked(dimension, exps)
-            merged[key] = merged.get(key, 0) + Fraction(coeff)
-        merged = {key: c for key, c in merged.items() if c}
-        den = lcm(*(c.denominator for c in merged.values()))
-        # Over the lcm of reduced denominators the pair is already canonical.
+            coeff = coeff if isinstance(coeff, int) else Fraction(coeff)
+            merged[key] = merged[key] + coeff if key in merged else coeff
+        # Ints and reduced Fractions: over their lcm the pair is canonical.
+        den = lcm(*[c.denominator for c in merged.values() if c.denominator != 1])
         self._dimension = dimension
         self._den = den
-        self._terms = {key: c.numerator * (den // c.denominator) for key, c in merged.items()}
+        self._terms = {key: c.numerator * (den // c.denominator) for key, c in merged.items() if c}
         self._hash = None
 
     @classmethod

@@ -20,13 +20,17 @@ corrections after.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from typing import Optional, Sequence
 
-from .errors import ArityMismatch, ParseError, UnknownVariable
+from .errors import ArityMismatch, DomainError, ParseError, UnknownVariable
 from .exactpoly import Polynomial, default_variable_names
 
 _OPERATORS = set("+-*^/(),")
+
+#: Term budget of a parsed power: ``base^k`` of a ``t``-term base has at most
+#: C(t + k - 1, k) terms, and a power whose bound exceeds it raises DomainError.
+MAX_POWER_TERMS = 1000
 
 
 class _Token:
@@ -125,8 +129,11 @@ class _Parser:
         value = self.parse_base()
         if self.peek().kind == "^":
             self.advance()
-            tok = self.expect("int")
-            value = value ** int(tok.text)
+            k = int(self.expect("int").text)
+            t = len(value.exponents())
+            if t > 1 and (k >= MAX_POWER_TERMS or comb(t + k - 1, k) > MAX_POWER_TERMS):
+                raise DomainError(f"{t}-term base to the power {k} exceeds the term budget {MAX_POWER_TERMS}")
+            value = value ** k
         return value
 
     def parse_base(self) -> Polynomial:

@@ -51,6 +51,35 @@ def test_evaluate_single_exponential_is_nagata():
 
 def test_evaluate_empty_word_is_identity():
     assert AutWord(3).evaluate() == PolyMap.identity(3)
+    assert AutWord(3, []).evaluate() == PolyMap.identity(3)
+    assert AutWord(2, []).evaluate() == PolyMap.identity(2)
+
+
+def _left_fold(word):
+    # The fold evaluate used to run: identity o g1 o g2 o ... .
+    result = PolyMap.identity(word.dimension)
+    for g in word.factors:
+        result = compose(result, g.to_map())
+    return result
+
+
+def test_evaluate_folds_from_the_first_factor():
+    rng = random.Random(61)
+    singles = [
+        ScalarGenerator(Fraction(-2, 3)),
+        ExponentialGenerator(P, D, Fraction(1, 2)),
+        translation_x(Fraction(5, 7)),
+        TriangularGenerator((X + Y ** 2, 3 * Y + Z, -Z)),
+    ]
+    for g in singles:
+        assert AutWord(3, [g]).evaluate() == g.to_map()
+    for first in singles[:2]:
+        for _ in range(4):
+            word = AutWord(3, [first]) * random_tame_word(rng)
+            assert word.evaluate() == _left_fold(word)
+    for _ in range(10):
+        word = random_tame_word(rng)
+        assert word.evaluate() == _left_fold(word)
 
 
 def test_evaluate_translation_conjugation():
@@ -316,6 +345,49 @@ def test_random_triangular_inverses_compose_to_identity():
         assert compose(backward, forward).is_identity()
 
 
+def _seeded_triangular_generators():
+    """Triangular generators with Fraction diagonals, n = 1..4."""
+    rng = random.Random(67)
+    for n in range(1, 5):
+        for _ in range(8):
+            components = []
+            for i in range(n):
+                diagonal = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(2, 4))
+                tail = Polynomial.zero(n)
+                for _ in range(rng.randint(0, 3) if i < n - 1 else 0):
+                    exps = [0] * n
+                    for j in range(i + 1, n):
+                        exps[j] = rng.randint(0, 2)
+                    tail = tail + Polynomial(n, {tuple(exps): Fraction(rng.randint(-4, 4), rng.randint(1, 3))})
+                components.append(Polynomial.variable(i, n) * diagonal + tail)
+            yield TriangularGenerator(components)
+
+
+def test_triangular_inverse_parts_are_what_validation_derives():
+    for g in _seeded_triangular_generators():
+        for inv in (g.inverse(), g.inverse().inverse()):
+            fresh = TriangularGenerator(inv.components)
+            assert (inv._diagonal, inv._tails) == (fresh._diagonal, fresh._tails)
+            assert all(isinstance(c, Fraction) for c in inv._diagonal)
+        assert g.inverse().inverse() == g
+
+
+def test_triangular_inverses_are_not_validated_again(monkeypatch):
+    generators = list(_seeded_triangular_generators())
+
+    def refuse(self, components):
+        raise AssertionError("triangular generator validated again")
+
+    monkeypatch.setattr(TriangularGenerator, "__init__", refuse)
+    for g in generators:
+        inv = g.inverse()
+        n = g.dimension
+        assert compose(g.to_map(), inv.to_map()).is_identity()
+        assert compose(inv.to_map(), g.to_map()).is_identity()
+        assert compose(inv.to_map(), inv.inverse().to_map()).is_identity()
+        assert AutWord(n, [g, inv, inv.inverse(), inv]).evaluate().is_identity()
+
+
 # -- affine matrices -------------------------------------------------------------
 
 
@@ -396,6 +468,24 @@ def test_affine_inverses_need_no_further_elimination(monkeypatch):
 def test_affine_to_map_matches_the_matrix():
     g = AffineGenerator(((0, 2, 0), (Fraction(1, 3), 0, -1), (0, 0, 1)), (1, 0, Fraction(-1, 2)))
     assert g.to_map() == PolyMap((2 * Y + 1, Fraction(1, 3) * X - Z, Z - HALF))
+
+
+def test_affine_to_map_is_the_constructor_output():
+    for matrix, shift in _seeded_affine_cases():
+        if not _leibniz_det(matrix):
+            continue
+        g = AffineGenerator(matrix, shift)
+        n = g.dimension
+        units = [tuple(int(j == k) for k in range(n)) for j in range(n)]
+        for a in (g, g.inverse()):
+            expected = [
+                Polynomial(n, [((0,) * n, b), *zip(units, row)])
+                for row, b in zip(a.matrix, a.translation)
+            ]
+            got = a.to_map().components
+            assert got == tuple(expected)
+            assert [hash(c) for c in got] == [hash(c) for c in expected]
+            assert [c.integer_terms() for c in got] == [c.integer_terms() for c in expected]
 
 
 def test_random_affine_generator_retries_only_singular_draws(monkeypatch):

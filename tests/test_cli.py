@@ -2,6 +2,7 @@
 
 import pytest
 
+from cremona3 import Polynomial
 from cremona3._termops import MAX_EXPONENT
 from cremona3.cli import main
 
@@ -39,6 +40,16 @@ def test_parse_exponent_past_the_limit_exits_3(capsys):
     assert "exponent" in err
     code, out, _ = run(capsys, "parse", f"x^{MAX_EXPONENT}")
     assert (code, out) == (0, f"x^{MAX_EXPONENT}\n")
+
+
+def test_parse_power_past_the_term_budget_exits_3(capsys, monkeypatch):
+    def refuse(self, exponent):
+        raise AssertionError("a power past the budget was computed")
+
+    monkeypatch.setattr(Polynomial, "__pow__", refuse)
+    code, out, err = run(capsys, "parse", "(x+y+z)^100000")
+    assert (code, out) == (3, "")
+    assert err == "error: 3-term base to the power 100000 exceeds the term budget 1000\n"
 
 
 def test_parse_error_exits_2(capsys):

@@ -1,6 +1,8 @@
 """Exact polynomial arithmetic: examples, errors, and algebraic laws."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,57 @@ def test_construction_rejects_wrong_exponent_length():
 def test_construction_rejects_negative_exponents():
     with pytest.raises(DimensionMismatch):
         Polynomial(2, {(-1, 0): 1})
+
+
+def _built_by_arithmetic(dimension, pairs):
+    xs = variables(dimension)
+    total = Polynomial.zero(dimension)
+    for exps, coeff in pairs:
+        monomial = Polynomial.one(dimension)
+        for x, e in zip(xs, exps):
+            monomial = monomial * x ** e
+        total = total + monomial * Fraction(coeff)
+    return total
+
+
+def test_constructor_is_canonical_on_mixed_coefficients():
+    rng = random.Random(71)
+    kinds = (
+        lambda: rng.randint(-9, 9),
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+        lambda: f"{rng.randint(-9, 9)}/{rng.randint(1, 12)}",
+    )
+    for dimension in (1, 2, 3, 4):
+        for _ in range(60):
+            keys = [tuple(rng.randint(0, 3) for _ in range(dimension)) for _ in range(rng.randint(1, 4))]
+            pairs = [(rng.choice(keys), rng.choice(kinds)()) for _ in range(rng.randint(0, 8))]
+            # Duplicates that cancel, merge to an integer, merge to a reduced fraction.
+            cancel, whole, reduced = (rng.choice(keys) for _ in range(3))
+            pairs += [(cancel, Fraction(3, 4)), (cancel, "-3/4"), (whole, "1/2")]
+            pairs += [(whole, Fraction(1, 2)), (reduced, Fraction(1, 6)), (reduced, "1/6")]
+            rng.shuffle(pairs)
+            p = Polynomial(dimension, pairs)
+            den, numerators = p.integer_terms()
+            assert den > 0 and all(numerators.values())
+            assert gcd(den, *numerators.values()) == 1
+            assert as_dict(p) == normalize([(c, e) for e, c in pairs])
+            q = _built_by_arithmetic(dimension, pairs)
+            assert p == q and hash(p) == hash(q)
+            assert p.integer_terms() == q.integer_terms()
+    half = Polynomial(2, [((1, 0), "1/2"), ((1, 0), Fraction(1, 2)), ((0, 1), 3)])
+    assert half.integer_terms() == (1, {(1, 0): 1, (0, 1): 3})
+    assert Polynomial(1, [((2,), Fraction(1, 3)), ((2,), "-1/3")]).integer_terms() == (1, {})
+    assert Polynomial(1, [((0,), Fraction(1, 6)), ((0,), "1/6")]).integer_terms() == (3, {(0,): 1})
+
+
+@pytest.mark.parametrize("coeff", [1, Fraction(1, 2), "3/4"])
+def test_constructor_errors_keep_their_types(coeff):
+    with pytest.raises(DimensionMismatch):
+        Polynomial(3, {(1, 0): coeff})
+    with pytest.raises(DimensionMismatch):
+        Polynomial(2, [((0, -1), coeff)])
+    with pytest.raises(DomainError, match="exceeds the limit"):
+        Polynomial(2, [((0, 0), coeff), ((MAX_EXPONENT + 1, 0), coeff)])
 
 
 def test_exponents_past_the_packed_field_raise_domain_error():

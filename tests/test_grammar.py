@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cremona3 import (
     ArityMismatch,
+    DomainError,
     ParseError,
     Polynomial,
     UnknownVariable,
@@ -19,6 +20,7 @@ from cremona3 import (
     parse_polynomial,
     variables,
 )
+from cremona3.grammar import MAX_POWER_TERMS
 from cremona3.verify import random_polynomial
 from test_exactpoly import polynomials
 
@@ -115,6 +117,32 @@ def test_unary_minus_binds_after_power():
 
 def test_rational_base_with_exponent():
     assert parse_polynomial("3/2^2") == Polynomial.constant(3, Fraction(9, 4))
+
+
+def test_power_past_the_term_budget_raises_before_computing(monkeypatch):
+    def refuse(self, exponent):
+        raise AssertionError("a power past the budget was computed")
+
+    monkeypatch.setattr(Polynomial, "__pow__", refuse)
+    for text in (
+        "(x+y+z)^100000",
+        "(x + y)^1000",  # C(1001, 1000) = 1001 terms
+        "(x + y + z)^44",  # C(46, 44) = 1035 terms
+        "(1 + x)^" + "9" * 40,
+        "x * (y - z*x)^123456789",
+    ):
+        with pytest.raises(DomainError, match="term budget"):
+            parse_polynomial(text)
+    with pytest.raises(DomainError, match="term budget"):
+        parse_polynomial("(x1 + x2 + x3 + x4 + x5 + x6 + x7 + x8)^9", dimension=8)
+
+
+def test_powers_within_the_term_budget_are_computed():
+    assert MAX_POWER_TERMS == 1000
+    assert len(parse_polynomial("(x + y + z)^43").exponents()) == 990  # C(45, 43)
+    assert parse_polynomial("(x - x)^100000") == Polynomial.zero(3)
+    assert parse_polynomial("(2*x*y)^3") == 8 * X ** 3 * Y ** 3
+    assert parse_polynomial("(x + 1)^0") == 1
 
 
 def test_unknown_variable_reports_position():
