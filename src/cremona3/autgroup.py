@@ -3,7 +3,8 @@
 A word is a list of generators in functional order (leftmost applied
 last); ``evaluate`` multiplies the word out to an explicit polynomial
 map via substitution.  Composition follows (f o g)(a) = f(g(a)), i.e.
-``compose(f, g)`` substitutes g's components into f.
+``compose(f, g)`` substitutes g's components into f, all of f's
+components in one pass that computes each monomial image once.
 
 Validity is enforced when a generator is constructed, never re-derived
 from a raw map: affine parts must be invertible, triangular components
@@ -29,7 +30,7 @@ from . import grammar
 from ._termops import EXPONENT_BITS
 from .derivation import DEFAULT_BOUND, Derivation, Nilpotency
 from .errors import DimensionMismatch, InvalidGenerator
-from .exactpoly import Polynomial
+from .exactpoly import Polynomial, _substitute_all
 
 
 class PolyMap:
@@ -70,7 +71,7 @@ class PolyMap:
             raise DimensionMismatch(
                 f"cannot compose maps of dimensions {self.dimension} and {other.dimension}"
             )
-        return PolyMap(tuple(c.substitute(other._components) for c in self._components))
+        return PolyMap(_substitute_all(self._components, other._components))
 
     def is_identity(self) -> bool:
         return self == PolyMap.identity(self.dimension)

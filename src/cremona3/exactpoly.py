@@ -11,6 +11,11 @@ also equals, and hashes like, its ``Fraction`` value.
 ``fractions.Fraction`` coefficients (``ExactRational``), built when
 accessed.  Values are immutable; every operation is a pure function, so
 polynomials can be shared freely between threads.
+
+``substitute`` and ``PolyMap.compose`` share one routine: a memo local to
+the call computes each monomial image once for all the polynomials it
+substitutes into, and each result goes over the lcm of the denominators
+of the images it uses.
 """
 
 from __future__ import annotations
@@ -299,43 +304,10 @@ class Polynomial:
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Replace variable i by images[i]; a ring homomorphism in self.
 
-        Terms go over one common denominator, the product of den_i ** e_i
-        for e_i the top exponent of variable i, and are summed as ints.
+        Each monomial image is computed once, and the terms go over the
+        lcm of the denominators of the images they use, then normalize.
         """
-        if len(images) != self._dimension:
-            raise ArityMismatch(
-                f"need {self._dimension} images, got {len(images)}"
-            )
-        target_dims = {im.dimension for im in images}
-        if len(target_dims) != 1:
-            raise DimensionMismatch(f"images live in different dimensions: {sorted(target_dims)}")
-        m = target_dims.pop()
-        # powers[i][e] / dens[i] ** e is images[i] ** e.
-        powers: list[list] = [[None, im._terms] for im in images]
-        dens = [im._den for im in images]
-        common = 1
-        if self._terms and any(d != 1 for d in dens):
-            for i, d in enumerate(dens):
-                if d != 1:
-                    common *= d ** self.degree_in(i)
-        acc: dict = {}
-        for key, c in self._terms.items():
-            prod = _ONE
-            prod_den = 1
-            i = 0
-            while key:
-                e = key & FIELD_MASK
-                if e:
-                    cache = powers[i]
-                    while len(cache) <= e:
-                        cache.append(mul_terms(cache[-1], cache[1]))
-                    prod = cache[e] if prod is _ONE else mul_terms(prod, cache[e])
-                    if common != 1:
-                        prod_den *= dens[i] ** e
-                key >>= EXPONENT_BITS
-                i += 1
-            iadd_scaled_terms(acc, prod, c * (common // prod_den))
-        return Polynomial._make(m, *normalize(self._den * common, acc))
+        return _substitute_all((self,), images)[0]
 
     def coefficient_of_power(self, index: int, power: int) -> "Polynomial":
         """Coefficient of x_index^power, as a polynomial with that slot zeroed."""
@@ -386,8 +358,48 @@ class Polynomial:
         return f"Polynomial({self._dimension}, {str(self)!r})"
 
 
-#: The numerator of the constant 1, as a term map.
-_ONE = {0: 1}
+def _substitute_all(polys: Sequence[Polynomial], images: Sequence[Polynomial]) -> list:
+    """``polys`` (all in dimension n) with variable i replaced by images[i].
+
+    ``memo`` maps a packed monomial to its image as a (term map, den)
+    pair, and ``powers[i][e]`` is images[i] ** e as one; both serve all of
+    ``polys``, so each distinct monomial costs one ``mul_terms`` in total.
+    """
+    n = polys[0]._dimension
+    if len(images) != n:
+        raise ArityMismatch(f"need {n} images, got {len(images)}")
+    target_dims = {im._dimension for im in images}
+    if len(target_dims) != 1:
+        raise DimensionMismatch(f"images live in different dimensions: {sorted(target_dims)}")
+    m = target_dims.pop()
+    memo, powers = {0: ({0: 1}, 1)}, {}
+    fractional = {im._den for im in images} != {1}
+    out = []
+    for p in polys:
+        pairs = [memo.get(key) or _monomial_image(key, memo, powers, images) for key in p._terms]
+        # Any common multiple of the used denominators will do: normalize runs last.
+        common = lcm(*{den for _, den in pairs}) if fractional else 1
+        acc: dict = {}
+        for c, (terms, den) in zip(p._terms.values(), pairs):
+            iadd_scaled_terms(acc, terms, c * (common // den))
+        out.append(Polynomial._make(m, *normalize(p._den * common, acc)))
+    return out
+
+
+def _monomial_image(key: int, memo: dict, powers: dict, images) -> tuple:
+    # Not yet in memo: the image of key without its last variable, times that variable's power.
+    shift = (key.bit_length() - 1) // EXPONENT_BITS * EXPONENT_BITS
+    i, e, prefix = shift // EXPONENT_BITS, key >> shift, key & ((1 << shift) - 1)
+    cache = powers.get(i) or powers.setdefault(i, [None, (images[i]._terms, images[i]._den)])
+    while len(cache) <= e:
+        (terms, den), (base, base_den) = cache[-1], cache[1]
+        cache.append((mul_terms(terms, base), den * base_den))
+    image = cache[e]
+    if prefix:
+        terms, den = memo.get(prefix) or _monomial_image(prefix, memo, powers, images)
+        image = (mul_terms(terms, image[0]), den * image[1])
+    memo[key] = image
+    return image
 
 
 def _pack_checked(dimension: int, exps) -> int:

@@ -19,6 +19,7 @@ corrections after.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import comb, gcd
 from typing import Optional, Sequence
@@ -84,6 +85,16 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _int_value(tok: _Token) -> int:
+    try:
+        return int(tok.text)
+    except ValueError:  # past the interpreter's limit on integer string conversion
+        raise DomainError(
+            f"integer literal of {len(tok.text)} digits exceeds the limit of "
+            f"{sys.get_int_max_str_digits()} digits (line {tok.line}, column {tok.column})"
+        ) from None
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], names: Sequence[str], dimension: int):
         self.tokens = tokens
@@ -129,7 +140,7 @@ class _Parser:
         value = self.parse_base()
         if self.peek().kind == "^":
             self.advance()
-            k = int(self.expect("int").text)
+            k = _int_value(self.expect("int"))
             t = len(value.exponents())
             if t > 1 and (k >= MAX_POWER_TERMS or comb(t + k - 1, k) > MAX_POWER_TERMS):
                 raise DomainError(f"{t}-term base to the power {k} exceeds the term budget {MAX_POWER_TERMS}")
@@ -140,11 +151,11 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            value = Fraction(int(tok.text))
+            value = Fraction(_int_value(tok))
             if self.peek().kind == "/":
                 self.advance()
                 den_tok = self.expect("int")
-                den = int(den_tok.text)
+                den = _int_value(den_tok)
                 if den == 0:
                     raise ParseError("denominator must be positive", den_tok.line, den_tok.column)
                 value = Fraction(value, den)
@@ -233,9 +244,14 @@ def format_rational(value) -> str:
 
 def _format_ratio(numerator: int, denominator: int) -> str:
     g = gcd(numerator, denominator)
-    if g != denominator:
-        return f"{numerator // g}/{denominator // g}"
-    return str(numerator // g)
+    try:
+        if g != denominator:
+            return f"{numerator // g}/{denominator // g}"
+        return str(numerator // g)
+    except ValueError:  # past the interpreter's limit on integer string conversion
+        raise DomainError(
+            f"a coefficient exceeds the limit of {sys.get_int_max_str_digits()} digits for printing"
+        ) from None
 
 
 def _term_order_key(exps):

@@ -8,8 +8,10 @@ import pytest
 
 from cremona3 import (
     AffineGenerator,
+    ArityMismatch,
     AutWord,
     DimensionMismatch,
+    DomainError,
     ExponentialGenerator,
     GeneratorShape,
     InvalidGenerator,
@@ -27,8 +29,11 @@ from cremona3 import (
     standard_objects,
     variables,
 )
-from cremona3 import autgroup, verify
+from cremona3 import autgroup, exactpoly, verify
+from cremona3._termops import MAX_EXPONENT
+from cremona3.exactpoly import _substitute_all
 from cremona3.verify import random_tame_word
+from oracle import from_poly, normalize, o_substitute
 
 X, Y, Z = variables(3)
 HALF = Fraction(1, 2)
@@ -130,6 +135,95 @@ def test_compose_is_associative_on_words():
         g = random_tame_word(rng).evaluate()
         h = random_tame_word(rng).evaluate()
         assert compose(compose(f, g), h) == compose(f, compose(g, h))
+
+
+#: Image denominators: small ones and large primes coprime to them.
+DENOMINATORS = (1, 1, 2, 3, 10**9 + 7, 2**61 - 1)
+
+
+def _seeded_polynomial(rng, dimension, max_exponent, max_terms, shared=()):
+    # Some monomials come from ``shared``, so components share them.
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        if shared and rng.random() < 0.5:
+            exps = rng.choice(shared)
+        else:
+            exps = tuple(rng.randint(0, max_exponent) for _ in range(dimension))
+        coeff = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.choice(DENOMINATORS))
+        terms[exps] = terms.get(exps, 0) + coeff
+    return Polynomial(dimension, terms)
+
+
+def _seeded_substitutions():
+    # (components, images) for n -> n maps, n = 1..4, and for 2 -> 3.
+    rng = random.Random(20261018)
+    for n, m in [(1, 1), (2, 2), (3, 3), (4, 4), (2, 3)] * 8:
+        shared = [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(3)]
+        components = [_seeded_polynomial(rng, n, 2, 4, shared) for _ in range(n)]
+        components[rng.randrange(n)] = rng.choice(
+            (Polynomial.zero(n), Polynomial.constant(n, Fraction(-5, 2**61 - 1)))
+        )
+        images = [_seeded_polynomial(rng, m, 2, 3) for _ in range(n)]
+        yield components, images
+
+
+def _oracle_fold(components, images):
+    # Each component substituted on its own, along the oracle's path.
+    m = images[0].dimension
+    oracle_images = [from_poly(im) for im in images]
+    return [Polynomial(m, normalize(o_substitute(from_poly(c), oracle_images, m))) for c in components]
+
+
+def test_compose_matches_the_per_component_oracle_fold():
+    for components, images in _seeded_substitutions():
+        expected = _oracle_fold(components, images)
+        if images[0].dimension == len(components):
+            got = PolyMap(components).compose(PolyMap(images)).components
+        else:
+            got = _substitute_all(components, images)
+        assert [c.dimension for c in got] == [images[0].dimension] * len(components)
+        assert list(got) == expected
+        assert [hash(c) for c in got] == [hash(c) for c in expected]
+        assert [c.integer_terms() for c in got] == [c.integer_terms() for c in expected]
+        assert [c.substitute(images) for c in components] == expected
+
+
+def test_compose_computes_each_monomial_image_once(monkeypatch):
+    calls = []
+    real = exactpoly.mul_terms
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    c = (X + HALF * Y * Z) ** 3 - X * Z ** 2 + Y ** 4 + 5
+    images = (X + Y, Y - HALF * Z, Z ** 2 + 1)
+    monkeypatch.setattr(exactpoly, "mul_terms", counting)
+    single = c.substitute(images)
+    alone = len(calls)
+    calls.clear()
+    composed = PolyMap((c, c, c)).compose(PolyMap(images))
+    assert composed.components == (single, single, single)
+    assert len(calls) == alone > 0
+
+
+def test_substitution_errors_keep_their_types():
+    big = Polynomial(3, {(MAX_EXPONENT, 0, 0): 1})
+    for substitute in (lambda polys, images: polys[0].substitute(images), _substitute_all):
+        with pytest.raises(ArityMismatch, match="need 3 images, got 2"):
+            substitute((P, X, Y), [X, Y])
+        with pytest.raises(DimensionMismatch, match=r"images live in different dimensions: \[2, 3\]"):
+            substitute((P, X, Y), [X, Y, Polynomial.variable(0, 2)])
+        for poly in (X * Y, X ** 2):  # a prefix product and a power past the limit
+            with pytest.raises(DomainError, match="exponent above the limit") as info:
+                substitute((poly, Y), [big, X, Z])
+            assert info.type is DomainError
+    with pytest.raises(DimensionMismatch, match="cannot compose maps of dimensions 2 and 3"):
+        PolyMap.identity(2).compose(PolyMap.identity(3))
+    for poly in (X * Y, X ** 2):
+        with pytest.raises(DomainError, match="exponent above the limit") as info:
+            PolyMap((poly, Y, Z)).compose(PolyMap((big, X, Z)))
+        assert info.type is DomainError
 
 
 # -- inversion ----------------------------------------------------------------

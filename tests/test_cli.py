@@ -1,5 +1,7 @@
 """Command-line surface: golden outputs and the exit-code contract."""
 
+import sys
+
 import pytest
 
 from cremona3 import Polynomial
@@ -50,6 +52,17 @@ def test_parse_power_past_the_term_budget_exits_3(capsys, monkeypatch):
     code, out, err = run(capsys, "parse", "(x+y+z)^100000")
     assert (code, out) == (3, "")
     assert err == "error: 3-term base to the power 100000 exceeds the term budget 1000\n"
+
+
+@pytest.mark.parametrize("text", ["{n}*x", "x^{n}", "1/{n}", "(9999999999*x)^500"])
+def test_parse_integers_past_the_digit_limit_exit_3(capsys, text):
+    # A literal of 5000 digits on input; a coefficient of 5000 digits on output.
+    if not 0 < sys.get_int_max_str_digits() < 5000:
+        pytest.skip("needs a limit on integer string conversion below 5000 digits")
+    code, out, err = run(capsys, "parse", text.format(n="9" * 5000))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "digits" in err and "Traceback" not in err
 
 
 def test_parse_error_exits_2(capsys):

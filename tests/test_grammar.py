@@ -1,6 +1,7 @@
 """Grammar: golden formats, parse errors, and the round-trip law."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,32 @@ def test_powers_within_the_term_budget_are_computed():
     assert parse_polynomial("(x - x)^100000") == Polynomial.zero(3)
     assert parse_polynomial("(2*x*y)^3") == 8 * X ** 3 * Y ** 3
     assert parse_polynomial("(x + 1)^0") == 1
+
+
+def test_integer_literals_past_the_digit_limit_raise_domain_error():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter has no limit on integer string conversion")
+    long = "9" * (limit + 1)
+    for text in (f"{long}*x", f"x^{long}", f"1/{long}*y", f"(x + y)^{long}", "0" * (limit + 1)):
+        with pytest.raises(DomainError, match=f"{limit + 1} digits exceeds the limit of {limit} digits"):
+            parse_polynomial(text)
+    assert parse_polynomial("9" * limit + "*x") == int("9" * limit) * X
+
+
+def test_coefficients_past_the_digit_limit_raise_domain_error_when_printed():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter has no limit on integer string conversion")
+    huge = 10 ** limit  # limit + 1 digits
+    for p in (huge * X, X / huge, Polynomial.constant(3, huge), huge * X + Y):
+        with pytest.raises(DomainError, match=f"limit of {limit} digits"):
+            format_polynomial(p)
+        with pytest.raises(DomainError):
+            str(p)
+    with pytest.raises(DomainError, match=f"limit of {limit} digits"):
+        format_rational(Fraction(huge, 7))
+    assert format_polynomial((huge - 1) * X) == "9" * limit + "*x"
 
 
 def test_unknown_variable_reports_position():

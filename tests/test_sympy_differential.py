@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cremona3 import Polynomial
+from cremona3 import PolyMap, Polynomial
 
 sympy_rings = pytest.importorskip("sympy.polys.rings")
 from sympy.polys.domains import QQ  # noqa: E402
@@ -79,6 +79,19 @@ def test_powers_match_sympy(f, k):
 def test_substitute_matches_sympy(f, images):
     expected = to_sympy(f).compose(list(zip(SYMPY_GENS, map(to_sympy, images))))
     assert agree(f.substitute(images), expected)
+
+
+@DIFFERENTIAL
+@given(
+    st.tuples(*(polynomials(max_degree=2, max_terms=3) for _ in range(3))),
+    st.tuples(*(polynomials(max_degree=2, max_terms=3) for _ in range(3))),
+)
+def test_compose_matches_sympy(f, g):
+    # All of f's components go through one shared substitution pass.
+    substitution = list(zip(SYMPY_GENS, map(to_sympy, g)))
+    composed = PolyMap(f).compose(PolyMap(g)).components
+    for got, component in zip(composed, f):
+        assert agree(got, to_sympy(component).compose(substitution))
 
 
 @DIFFERENTIAL
