@@ -144,3 +144,24 @@ def iadd_scaled_terms(acc, src, c):
             acc[e] = nv
         else:
             del acc[e]
+
+
+def derive_terms(a, images):
+    """sum_i m_i * image_i * d(a)/dx_i for ``images`` = [(shift_i, image_i, m_i)].
+
+    One accumulator; the walk over ``a`` is innermost, so a monomial image
+    costs one shift, mask and add per term.  DomainError on overflow.
+    """
+    acc = {}
+    get = acc.get
+    for shift, image, m in images:
+        for k, v in image.items():
+            offset, scale = k - (1 << shift), m * v
+            for key, c in a.items():
+                e = (key >> shift) & FIELD_MASK
+                if e:
+                    shifted = key + offset
+                    acc[shifted] = get(shifted, 0) + c * e * scale
+    out = {e: c for e, c in acc.items() if c}
+    _check_exponents(out)
+    return out

@@ -8,8 +8,9 @@ and ``decompose``/``reconstruct`` realize that bijection on explicit
 maps.  The splitting is normalized so that a is the unique scalar with
 f_3 = a z; this makes decompose(reconstruct(.)) the identity on triples.
 
-No verdict here composes maps.  Membership uses the derivation
-criterion f commutes with exp(D) iff D(f_i) = (D x_i) o f for every i
+No verdict here composes maps or substitutes.  Membership uses the
+derivation criterion f commutes with exp(D) iff D(f_i) = (D x_i) o f for
+every i, which for D = (y, z, 0) reads D(f1) = f2, D(f2) = f3, D(f3) = 0
 (see ``is_in_centralizer``), and ``reconstruct`` multiplies the three
 factors out in closed form.
 
@@ -83,10 +84,10 @@ def is_in_centralizer(f: PolyMap) -> bool:
     """
     if f.dimension != 3:
         raise DimensionMismatch(f"centralizer membership needs dimension 3, got {f.dimension}")
+    # (D x_i) o f = f2, f3, 0 needs no substitution; a near-miss fails the first test.
     D = standard_objects().D
-    return all(
-        D.apply(c) == img.substitute(f.components) for c, img in zip(f.components, D.images)
-    )
+    f1, f2, f3 = f.components
+    return D.apply(f1) == f2 and D.apply(f2) == f3 and D.apply(f3).is_zero()
 
 
 def decompose(f: PolyMap) -> Decomposition:

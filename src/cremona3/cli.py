@@ -9,6 +9,7 @@ invocations print identical bytes.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -30,7 +31,14 @@ from .derivation import (
     nagata_derivation,
 )
 from .errors import DomainError, ParseError
-from .grammar import format_map, format_polynomial, format_rational, parse_map, parse_polynomial
+from .grammar import (
+    _int_literal,
+    format_map,
+    format_polynomial,
+    format_rational,
+    parse_map,
+    parse_polynomial,
+)
 from .nagata import TorusElement, character_lambda
 from .verify import QUICK, run_suite
 
@@ -39,6 +47,9 @@ def _parse_rational_token(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
+        # A digit run past the interpreter's conversion limit is a DomainError, not echoed.
+        for digits in re.findall(r"\d+", text):
+            _int_literal(digits, " in a rational argument")
         raise ParseError(f"not a rational number: {text!r}") from exc
 
 

@@ -31,6 +31,7 @@ from ._termops import (
     EXPONENT_BITS,
     FIELD_MASK,
     add_terms,
+    derive_terms,
     iadd_scaled_terms,
     mul_terms,
     neg_terms,
@@ -400,6 +401,15 @@ def _monomial_image(key: int, memo: dict, powers: dict, images) -> tuple:
         image = (mul_terms(terms, image[0]), den * image[1])
     memo[key] = image
     return image
+
+
+def _derive(f: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
+    """sum_i images[i] * df/dx_i over the lcm of the image denominators, normalized once."""
+    used = [(EXPONENT_BITS * i, im) for i, im in enumerate(images) if im._terms]
+    common = lcm(*{im._den for _, im in used})
+    scaled = [(shift, im._terms, common // im._den) for shift, im in used]
+    terms = derive_terms(f._terms, scaled)
+    return Polynomial._make(f._dimension, *normalize(f._den * common, terms))
 
 
 def _pack_checked(dimension: int, exps) -> int:

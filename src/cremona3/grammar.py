@@ -85,14 +85,18 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-def _int_value(tok: _Token) -> int:
+def _int_literal(digits: str, where: str) -> int:
     try:
-        return int(tok.text)
+        return int(digits)
     except ValueError:  # past the interpreter's limit on integer string conversion
         raise DomainError(
-            f"integer literal of {len(tok.text)} digits exceeds the limit of "
-            f"{sys.get_int_max_str_digits()} digits (line {tok.line}, column {tok.column})"
+            f"integer literal of {len(digits)} digits exceeds the limit of "
+            f"{sys.get_int_max_str_digits()} digits{where}"
         ) from None
+
+
+def _int_value(tok: _Token) -> int:
+    return _int_literal(tok.text, f" (line {tok.line}, column {tok.column})")
 
 
 class _Parser:

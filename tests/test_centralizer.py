@@ -244,6 +244,66 @@ def test_shear_removal_leaves_a_pure_shift():
         assert compose(f, undo) == PolyMap((X + d.w, Y, Z))
 
 
+# -- cost structure of the verdicts ----------------------------------------------
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def _count_substitutions(monkeypatch, counts):
+    import cremona3.autgroup
+    import cremona3.exactpoly
+
+    for module in (cremona3.exactpoly, cremona3.autgroup):
+        _count_calls(monkeypatch, module, "_substitute_all", counts)
+
+
+def _near_miss(f, kind, c):
+    f1, f2, f3 = f.components
+    if kind == "cy":
+        return PolyMap((f1 + c * Y, f2, f3))
+    return PolyMap((f1, f2 + c * Z * Z, f3))
+
+
+def test_decompose_substitutes_nothing(monkeypatch):
+    rng = random.Random(83)
+    members = [reconstruct(random_decomposition(rng)) for _ in range(8)]
+    counts = {}
+    _count_substitutions(monkeypatch, counts)
+    for f in members:
+        decompose(f)
+        with pytest.raises(NotInCentralizer):
+            decompose(_near_miss(f, rng.choice(("cy", "cz2")), Fraction(rng.randint(1, 9), 7)))
+    with pytest.raises(NotInCentralizer):
+        decompose(PolyMap((X + Y, Y, Z)))
+    assert counts == {}
+
+
+@pytest.mark.parametrize("kind", ["cy", "cz2"])
+def test_near_miss_is_rejected_after_one_apply(monkeypatch, kind):
+    # Both perturbations break D(f1) = f2, the first equation tested.
+    from cremona3 import Derivation
+
+    rng = random.Random(89)
+    members = [reconstruct(random_decomposition(rng)) for _ in range(6)]
+    misses = [_near_miss(f, kind, Fraction(-3, 5)) for f in members]
+    counts = {}
+    _count_substitutions(monkeypatch, counts)
+    _count_calls(monkeypatch, Derivation, "apply", counts)
+    for f in misses:
+        counts.clear()
+        with pytest.raises(NotInCentralizer):
+            decompose(f)
+        assert counts == {"apply": 1}
+
+
 # -- H membership ----------------------------------------------------------------
 
 

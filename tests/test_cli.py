@@ -183,6 +183,30 @@ def test_character_negative_index_exits_3(capsys):
     assert "error" in err
 
 
+def _long_literals_are_limited():
+    if not 0 < sys.get_int_max_str_digits() < 5000:
+        pytest.skip("needs a limit on integer string conversion below 5000 digits")
+
+
+@pytest.mark.parametrize("beta, gamma", [("{n}", "1"), ("2", "1/{n}")])
+def test_character_rationals_past_the_digit_limit_exit_3(capsys, beta, gamma):
+    _long_literals_are_limited()
+    n = "9" * 5000
+    code, out, err = run(
+        capsys, "character", "--k", "1", "--beta", beta.format(n=n), "--gamma", gamma.format(n=n)
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: integer literal of 5000 digits exceeds the limit of " \
+        f"{sys.get_int_max_str_digits()} digits in a rational argument\n"
+
+
+def test_character_malformed_rationals_still_exit_2(capsys):
+    for beta in ("1/0", "abc", "1/2/3", "9" * 4300 + "x"):
+        code, out, err = run(capsys, "character", "--k", "1", "--beta", beta, "--gamma", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: not a rational number")
+
+
 # -- invert -------------------------------------------------------------------------
 
 
@@ -249,6 +273,21 @@ def test_invert_affine_wrong_count_exits_2(tmp_path, capsys):
     word.write_text("affine 1 0 0 1\n")
     code, _, _ = run(capsys, "invert", "--word", str(word))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["scalar {n}", "scalar 1/{n}", "affine 1 0 0 0 1 0 0 0 {n} 0 0 0", "exp -{n} x*z - 1/2*y^2"],
+)
+def test_invert_rationals_past_the_digit_limit_exit_3(tmp_path, capsys, line):
+    # The error names the digit count and never echoes the 5000-digit token.
+    _long_literals_are_limited()
+    word = tmp_path / "word.txt"
+    word.write_text(line.format(n="9" * 5000) + "\n")
+    code, out, err = run(capsys, "invert", "--word", str(word))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: integer literal of 5000 digits exceeds the limit")
+    assert err.count("\n") == 1 and len(err) < 200
 
 
 def test_invert_missing_file_exits_3(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Derivations: application, nilpotency, exponentials, flows, kernel coordinates."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -114,11 +115,31 @@ def test_is_locally_nilpotent_zero_derivation_small_bound():
 
 
 def test_is_locally_nilpotent_degree_growth_witness():
+    # x^2 d/dx is not locally nilpotent, but growing degrees alone certify
+    # nothing (see the triangular cases below), so the verdict stays open.
     x1 = Polynomial.variable(0, 1)
-    squaring = Derivation((x1 * x1,))  # x^2 d/dx: degrees grow forever
+    squaring = Derivation((x1 * x1,))
     report = squaring.is_locally_nilpotent(8)
-    assert report.verdict is Nilpotency.NOT_NILPOTENT_WITNESS
-    assert report.reason == "degree growth"
+    assert report.verdict is Nilpotency.INCONCLUSIVE
+    assert report.witness == (0, 8)
+    assert report.reason is None
+
+
+@pytest.mark.parametrize(
+    "first, bound, index",
+    [(Y ** 10, 5, 12), (Y ** 70, 64, 72)],
+)
+def test_is_locally_nilpotent_triangular_degree_growth_is_inconclusive(first, bound, index):
+    # (y^k, z^2, 0) is triangular, hence locally nilpotent, though its
+    # x-chain grows in degree until it vanishes at step k + 2.
+    triangular = Derivation((first, Z * Z, Polynomial.zero(3)))
+    report = triangular.is_locally_nilpotent(bound)
+    assert report.verdict is Nilpotency.INCONCLUSIVE
+    assert report.witness == (0, bound)
+    assert report.reason is None
+    assert triangular.nilpotency_index(X, index) == index
+    full = triangular.is_locally_nilpotent(index)
+    assert full.verdict is Nilpotency.LOCALLY_NILPOTENT_UP_TO_BOUND
 
 
 def test_is_locally_nilpotent_inconclusive_at_tiny_bound():
@@ -239,6 +260,21 @@ def test_kernel_coordinates_rejects_product_with_y():
 def test_kernel_coordinates_dimension_check():
     with pytest.raises(DimensionMismatch):
         kernel_coordinates(Polynomial.variable(0, 2))
+
+
+def test_kernel_coordinates_memory_stays_linear_in_the_degree():
+    # x^N z^N passes the first step (quotient 1) and fails the second; holding
+    # every power p^0..p^N on the way would peak near 6 MB here, one power at a
+    # time stays near 0.1 MB.
+    n = 300
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotInKernelRing, match="involves y"):
+            kernel_coordinates(Polynomial(3, {(n, 0, n): 1}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_kernel_round_trip_random():

@@ -13,13 +13,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cremona3 import PolyMap, Polynomial
+from cremona3 import (
+    Derivation,
+    DomainError,
+    PolyMap,
+    Polynomial,
+    kernel_coordinates,
+    nagata_derivation,
+)
+from cremona3._termops import MAX_EXPONENT
 
 sympy_rings = pytest.importorskip("sympy.polys.rings")
 from sympy.polys.domains import QQ  # noqa: E402
 
 R, SX, SY, SZ = sympy_rings.ring("x,y,z", QQ)
 SYMPY_GENS = (SX, SY, SZ)
+#: The kernel coordinates (Z, P) = (z, xz - y^2/2), in sympy.
+SYMPY_KERNEL = (SZ, SX * SZ - SY ** 2 / 2)
 
 #: Small denominators, their products, and large primes (coprime to all).
 DENOMINATORS = (1, 1, 2, 3, 6, 7, 10**9 + 7, 2**61 - 1, 998244353)
@@ -33,12 +43,15 @@ def coefficients(draw):
 
 
 @st.composite
-def polynomials(draw, max_degree=3, max_terms=4):
+def polynomials(draw, max_degree=3, max_terms=4, free=(0, 1, 2), dimension=3):
+    """Polynomials in the variables ``free`` (the others have exponent 0)."""
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
-        exps = tuple(draw(st.integers(0, max_degree)) for _ in range(3))
+        exps = tuple(
+            draw(st.integers(0, max_degree)) if i in free else 0 for i in range(dimension)
+        )
         terms[exps] = terms.get(exps, Fraction(0)) + draw(coefficients())
-    return Polynomial(3, terms)
+    return Polynomial(dimension, terms)
 
 
 def to_sympy(p):
@@ -120,3 +133,86 @@ def test_content_that_cancels_leaves_denominator_one(f):
     assert cleared.integer_terms()[0] == 1
     assert agree(cleared, to_sympy(f) * den)
     assert cleared / den == f
+
+
+def sympy_derivation(images):
+    return lambda g: sum((img * g.diff(v) for img, v in zip(images, SYMPY_GENS)), R.zero)
+
+
+def from_kernel_sympy(c):
+    """c(z, xz - y^2/2) as a package polynomial, substituted in sympy."""
+    value = sum(
+        (QQ(k.numerator, k.denominator) * SYMPY_KERNEL[0] ** a * SYMPY_KERNEL[1] ** b
+         for (a, b), k in c.terms.items()),
+        R.zero,
+    )
+    return Polynomial(3, from_sympy(value))
+
+
+@DIFFERENTIAL
+@given(
+    st.tuples(*(polynomials(max_degree=2, max_terms=3) for _ in range(3))),
+    polynomials(max_degree=4, max_terms=6),
+)
+def test_derivation_apply_matches_sympy(images, f):
+    # One fused pass in the package; diff, products and a sum in sympy.
+    expected = sympy_derivation([to_sympy(img) for img in images])(to_sympy(f))
+    assert agree(Derivation(images).apply(f), expected)
+
+
+@st.composite
+def kernel_shears(draw):
+    """(D, q) with q in ker D: the shear (y, z, 0) with q = c(z, p), or a
+    triangular D = (a(y, z), b(z), 0) with q = q(z)."""
+    if draw(st.booleans()):
+        c = draw(polynomials(max_degree=2, max_terms=3, free=(0, 1), dimension=2))
+        return nagata_derivation(), from_kernel_sympy(c)
+    a = draw(polynomials(max_degree=2, max_terms=3, free=(1, 2)))
+    b, q = (draw(polynomials(max_degree=2, max_terms=3, free=(2,))) for _ in range(2))
+    return Derivation((a, b, Polynomial.zero(3))), q
+
+
+@DIFFERENTIAL
+@given(kernel_shears())
+def test_exp_map_matches_the_sympy_series(shear):
+    D, q = shear
+    assert sympy_derivation([to_sympy(img) for img in D.images])(to_sympy(q)) == R.zero
+    step = sympy_derivation([to_sympy(q) * to_sympy(img) for img in D.images])
+    for got, gen in zip(D.scaled_by(q).exp_map(), SYMPY_GENS):
+        # sum_k (qD)^k(x_i) / k!, truncated where the iterate vanishes.
+        term, total, k = gen, gen, 0
+        while term != R.zero:
+            k += 1
+            term = step(term) / k
+            total += term
+        assert agree(got, total)
+
+
+@DIFFERENTIAL
+@given(polynomials(max_degree=3, max_terms=5, free=(0, 1), dimension=2))
+def test_kernel_coordinates_inverts_the_sympy_substitution(c):
+    assert kernel_coordinates(from_kernel_sympy(c)) == c
+
+
+@DIFFERENTIAL
+@given(
+    st.integers(0, 2),
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+    coefficients().filter(bool),
+    st.tuples(*(polynomials(max_degree=2, max_terms=3) for _ in range(3))),
+)
+def test_derivation_apply_raises_on_exponent_overflow(index, exps, c, others):
+    # x_i^MAX * m is valid, but D(x_i) = x_i^2 lifts the x_i-exponent past the
+    # limit; the other images are free of x_i, so no term cancels it.
+    exps = exps[:index] + (MAX_EXPONENT,) + exps[index + 1 :]
+    f = Polynomial(3, {exps: c})
+    images = [img.substitute(_without(index)) for img in others]
+    images[index] = Polynomial.variable(index, 3) ** 2
+    with pytest.raises(DomainError):
+        Derivation(tuple(images)).apply(f)
+
+
+def _without(index):
+    gens = [Polynomial.variable(i, 3) for i in range(3)]
+    gens[index] = Polynomial.zero(3)
+    return gens
