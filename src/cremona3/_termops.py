@@ -146,6 +146,23 @@ def iadd_scaled_terms(acc, src, c):
             del acc[e]
 
 
+def combine_terms(parts):
+    """sum_j m_j * x^k_j * a_j for ``parts`` = [(a_j, k_j, m_j)], k_j a packed monomial.
+
+    One accumulator; a monomial factor is one key addition per term.
+    DomainError on overflow.
+    """
+    acc = {}
+    get = acc.get
+    for a, offset, m in parts:
+        for key, c in a.items():
+            key += offset
+            acc[key] = get(key, 0) + c * m
+    out = {e: c for e, c in acc.items() if c}
+    _check_exponents(out)
+    return out
+
+
 def derive_terms(a, images):
     """sum_i m_i * image_i * d(a)/dx_i for ``images`` = [(shift_i, image_i, m_i)].
 

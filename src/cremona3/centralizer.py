@@ -11,8 +11,11 @@ f_3 = a z; this makes decompose(reconstruct(.)) the identity on triples.
 No verdict here composes maps or substitutes.  Membership uses the
 derivation criterion f commutes with exp(D) iff D(f_i) = (D x_i) o f for
 every i, which for D = (y, z, 0) reads D(f1) = f2, D(f2) = f3, D(f3) = 0
-(see ``is_in_centralizer``), and ``reconstruct`` multiplies the three
-factors out in closed form.
+(see ``is_in_centralizer``).  Both directions of the splitting work in
+kernel coordinates (Z, P), where q and w have a few terms: ``decompose``
+reads them off the y = 0 slice of two kernel elements (exact, by the
+lemma in its docstring), and ``reconstruct`` expands q once and
+multiplies the three factors out in closed form.
 
 ``decompose`` accepts raw maps (the one place raw maps are accepted)
 because commutation with h' is directly checkable.  A map that commutes
@@ -26,17 +29,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._termops import EXPONENT_BITS, FIELD_MASK, normalize
 from .autgroup import PolyMap
-from .derivation import kernel_coordinates
 from .errors import (
     DimensionMismatch,
     MalformedCentralizerElement,
     NotInCentralizer,
-    NotInKernelRing,
 )
 from .exactpoly import Polynomial
 from .grammar import format_polynomial
-from .nagata import H_WEIGHTS, commutes_with_weight_scaling, kernel_shear, standard_objects
+from .nagata import H_WEIGHTS, _scaled_shear, commutes_with_weight_scaling, standard_objects
 
 
 @dataclass(frozen=True)
@@ -90,19 +92,33 @@ def is_in_centralizer(f: PolyMap) -> bool:
     return D.apply(f1) == f2 and D.apply(f2) == f3 and D.apply(f3).is_zero()
 
 
+#: Bit offset of z in a packed monomial of (x, y, z), and the kernel coordinate Z.
+_Z_SHIFT = 2 * EXPONENT_BITS
+_KERNEL_Z = Polynomial.variable(0, 2)
+
+
 def decompose(f: PolyMap) -> Decomposition:
     """Split a commuting map into (alpha, w, q); inverse of reconstruct.
 
     Raises NotInCentralizer when f does not commute with the shear, and
     MalformedCentralizerElement when it commutes but some extraction
     step fails (impossible for genuine automorphisms).
+
+    The checks leave two kernel elements, q_raw = (f2 - a y)/z = a q and
+    residue = f1 - a x - q_raw y = a (w + q^2 z/2).  Each is c(z, p) for
+    the c read off its y-free terms, x^i z^j -> Z^(j-i) P^i (p = xz at
+    y = 0); then q and w are computed in (Z, P).  The read-off is exact
+    by a lemma that does not use the kernel theorem: if g is in ker D
+    and g(x, 0, z) = 0, then g = 0.  Otherwise g = y^k h with k >= 1 and
+    y not dividing h, and 0 = D(g) = y^(k-1) (k z h + y D(h)) makes y
+    divide k z h, hence h.  Apply it to g = kernel element - c(z, p).
     """
     if f.dimension != 3:
         raise DimensionMismatch(f"decompose needs dimension 3, got {f.dimension}")
     if not is_in_centralizer(f):
         raise NotInCentralizer("the map does not commute with the degree-one shear")
-    objs = standard_objects()
-    x, y, z = (Polynomial.variable(i, 3) for i in range(3))
+    D = standard_objects().D
+    x, y = (Polynomial.variable(i, 3) for i in range(2))
     f1, f2, f3 = f.components
 
     if f3.exponents() != ((0, 0, 1),):
@@ -114,36 +130,47 @@ def decompose(f: PolyMap) -> Decomposition:
     q_raw = (f2 - y * scale).divided_by_power(2, 1)
     if q_raw is None:
         raise MalformedCentralizerElement("second component minus alpha*y is not divisible by z")
-    if not objs.D.apply(q_raw).is_zero():
+    if not D.apply(q_raw).is_zero():
         raise MalformedCentralizerElement("extracted shear exponent is not a kernel element")
 
     residue = f1 - x * scale - q_raw * y
-    if not objs.D.apply(residue).is_zero():
+    if not D.apply(residue).is_zero():
         raise MalformedCentralizerElement("first-component residue is not a kernel element")
 
-    q_norm = q_raw / scale
-    try:
-        q = kernel_coordinates(q_norm)
-    except NotInKernelRing as exc:
-        raise MalformedCentralizerElement(str(exc)) from exc
-
-    shift = residue / scale - Fraction(1, 2) * q_norm * q_norm * z
-    if not shift.depends_only_on({2}):
+    q = _read_off(q_raw) / scale
+    shift = _read_off(residue) / scale - q * q * _KERNEL_Z / 2
+    if not shift.depends_only_on({0}):
         raise MalformedCentralizerElement(
             "shift component is not a polynomial in z alone"
         )
-    return Decomposition(alpha=scale, w=shift, q=q)
+    # w(Z) -> w(z): Z^k is the packed key k, z^k is k << _Z_SHIFT.
+    w = Polynomial._make(3, shift._den, {k << _Z_SHIFT: c for k, c in shift._terms.items()})
+    return Decomposition(alpha=scale, w=w, q=q)
+
+
+def _read_off(g: Polynomial) -> Polynomial:
+    # c(Z, P) from the y-free terms of a kernel element g = c(z, p): x^i z^j -> Z^(j-i) P^i.
+    out = {}
+    for key, c in g._terms.items():
+        if not (key >> EXPONENT_BITS) & FIELD_MASK:
+            i, j = key & FIELD_MASK, key >> _Z_SHIFT
+            if j < i:
+                raise MalformedCentralizerElement(
+                    f"the x^{i} z^{j} term of a kernel element is not a monomial in z and p"
+                )
+            out[(j - i) | (i << EXPONENT_BITS)] = c
+    return Polynomial._make(2, *normalize(g._den, out))
 
 
 def reconstruct(d: Decomposition) -> PolyMap:
     """(a x, a y, a z) o (x + w(z), y, z) o exp(q(z,p) D), multiplied out.
 
-    Closed form: with (s1, s2, s3) = kernel_shear(q), the shift only
-    reads s3 = z, so the product is a * (s1 + w, s2, s3) and no map is
-    composed.
+    Closed form: the shift only reads z, so the product is
+    a (x + q y + q^2 z/2 + w, y + q z, z) for q = d.q(z, p), the
+    assembler behind ``kernel_shear`` with the scalar and shift added;
+    no map is composed.
     """
-    s1, s2, s3 = kernel_shear(d.q).components
-    return PolyMap(((s1 + d.w) * d.alpha, s2 * d.alpha, s3 * d.alpha))
+    return _scaled_shear(d.alpha, d.q, d.w)
 
 
 def is_in_H(f: PolyMap) -> bool:

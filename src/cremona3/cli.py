@@ -43,7 +43,24 @@ from .nagata import TorusElement, character_lambda
 from .verify import QUICK, run_suite
 
 
+#: A decimal in exponent notation as ``Fraction`` reads it; group 1 is the exponent.
+_DECIMAL_EXPONENT = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)(?:\d*|\d+(?:_\d+)*)(?:\.(?:\d*|\d+(?:_\d+)*))?"
+    r"[eE][-+]?(\d+(?:_\d+)*)\s*"
+)
+
+
 def _parse_rational_token(text: str) -> Fraction:
+    # 1e4000000 is nine characters but a 4-million-digit integer: bound the
+    # exponent by the interpreter's digit limit before Fraction expands it.
+    exponent = _DECIMAL_EXPONENT.fullmatch(text)
+    limit = sys.get_int_max_str_digits()
+    if exponent and limit:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+            raise DomainError(
+                f"decimal exponent exceeds the limit of {limit} digits in a rational argument"
+            )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

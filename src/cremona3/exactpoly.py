@@ -228,7 +228,11 @@ class Polynomial:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
+            if not other:
+                raise ZeroDivisionError("polynomial division by zero")
+            # self * (den / num), with the sign on the numerator so the denominator stays positive.
+            num, den = other.numerator, other.denominator
+            return self._scaled(-den, -num) if num < 0 else self._scaled(den, num)
         return NotImplemented
 
     def __pow__(self, exponent: int):

@@ -21,8 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import NamedTuple, Sequence
 
+from ._termops import EXPONENT_BITS, combine_terms, mul_terms, normalize
 from .autgroup import PolyMap, compose
 from .derivation import (
     Derivation,
@@ -144,12 +146,36 @@ def kernel_shear(c: Polynomial) -> PolyMap:
         exp(qD) = (x + q y + q^2 z / 2, y + q z, z)
 
     exactly; this is ``PolyMap(D.scaled_by(q).exp_map())`` without
-    iterating D.
+    iterating D.  It is the case alpha = 1, w = 0 of the one assembler
+    behind ``centralizer.reconstruct``: q is expanded once and squared
+    once, and each component is one integer pass.
     """
+    return _scaled_shear(1, c, Polynomial.zero(3))
+
+
+def _scaled_shear(alpha, c: Polynomial, w: Polynomial) -> PolyMap:
+    # alpha * (x + q y + q^2 z/2 + w, y + q z, z) for q = c(z, p) and w in C[z]: each
+    # component sums its pieces over one common denominator; a factor y or z is a key shift.
     q = from_kernel_coordinates(c)
-    x, y, z = (Polynomial.variable(i, 3) for i in range(3))
-    qz = q * z
-    return PolyMap((x + q * y + q * qz / 2, y + qz, z))
+    d, terms = q._den, q._terms
+    square = mul_terms(terms, terms)
+    a, b = alpha.numerator, alpha.denominator
+    den = lcm(2 * d * d, w._den)
+    first = combine_terms(
+        ((_ONE, _X, den * a), (terms, _Y, den // d * a),
+         (square, _Z, den // (2 * d * d) * a), (w._terms, 0, den // w._den * a))
+    )
+    second = combine_terms(((_ONE, _Y, d * a), (terms, _Z, a)))
+    return PolyMap((
+        Polynomial._make(3, *normalize(den * b, first)),
+        Polynomial._make(3, *normalize(d * b, second)),
+        Polynomial._make(3, b, {_Z: a}),
+    ))
+
+
+#: The packed monomials x, y, z, and the unit term map.
+_X, _Y, _Z = (1 << (EXPONENT_BITS * i) for i in range(3))
+_ONE = {0: 1}
 
 
 def k_monomial(k: int) -> Polynomial:

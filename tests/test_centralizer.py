@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cremona3 import (
     Decomposition,
@@ -25,6 +27,7 @@ from cremona3 import (
     variables,
     verify_theorem_identities,
 )
+from cremona3.centralizer import _read_off
 from cremona3.verify import (
     random_decomposition,
     random_kernel_polynomial,
@@ -144,13 +147,51 @@ def test_decompose_rejects_noncommuting_maps():
 def test_decompose_flags_commuting_non_automorphisms():
     # The zero map and constant maps commute with the shear but are not
     # automorphisms; extraction must fail loudly, never silently.
-    with pytest.raises(MalformedCentralizerElement):
+    zero_f3 = "^third component must be a nonzero multiple of z, got 0$"
+    with pytest.raises(MalformedCentralizerElement, match=zero_f3):
         decompose(PolyMap((Polynomial.zero(3),) * 3))
-    with pytest.raises(MalformedCentralizerElement):
+    with pytest.raises(MalformedCentralizerElement, match=zero_f3):
         decompose(PolyMap((Polynomial.one(3), Polynomial.zero(3), Polynomial.zero(3))))
     # (xz, yz, z^2) = (u, Du, D^2 u) for u = xz commutes but is not onto.
-    with pytest.raises(MalformedCentralizerElement):
+    with pytest.raises(
+        MalformedCentralizerElement,
+        match=r"^third component must be a nonzero multiple of z, got z\^2$",
+    ):
         decompose(PolyMap((X * Z, Y * Z, Z ** 2)))
+
+
+def test_decompose_flags_a_shift_that_involves_p():
+    # (x + p, y, z) commutes with the shear (D(p) = 0) but has Jacobian 1 + z.
+    with pytest.raises(
+        MalformedCentralizerElement, match="^shift component is not a polynomial in z alone$"
+    ):
+        decompose(PolyMap((X + OBJS.p, Y, Z)))
+
+
+LARGE_PRIMES = (10**9 + 7, 10**9 + 9, 998244353, 2**61 - 1, 10**12 + 39, 2**31 - 1)
+
+
+@st.composite
+def kernel_polynomials_with_large_denominators(draw):
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        a, b = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        num = draw(st.integers(-(10**20), 10**20))
+        den = draw(st.sampled_from(LARGE_PRIMES)) * draw(st.integers(1, 10**6))
+        terms[(a, b)] = terms.get((a, b), Fraction(0)) + Fraction(num, den)
+    return Polynomial(2, terms)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kernel_polynomials_with_large_denominators())
+def test_read_off_recovers_kernel_coordinates(c):
+    # At y = 0, p = xz: the y-free terms of c(z, p) determine c.
+    assert _read_off(from_kernel_coordinates(c)) == c
+
+
+def test_read_off_rejects_terms_outside_the_kernel_ring():
+    with pytest.raises(MalformedCentralizerElement, match="x\\^2 z\\^1 term"):
+        _read_off(X * X * Z + Z)
 
 
 # -- reconstruct ----------------------------------------------------------------
@@ -206,6 +247,17 @@ def test_kernel_shear_matches_the_exponential_series():
         assert kernel_shear(d.q) == _exp_shear(d.q)
     assert kernel_shear(Q_P) == OBJS.h
     assert kernel_shear(Polynomial.one(2)) == OBJS.h_prime
+
+
+def test_reconstruct_and_kernel_shear_match_the_series_with_fractional_scalars():
+    rng = random.Random(101)
+    alphas = (Fraction(1, 2), Fraction(-2, 3), Fraction(7, 10**9 + 7), Fraction(-(10**12 + 39), 11))
+    for d in _wide_triples(rng, 10):
+        e1, e2, e3 = _exp_shear(d.q).components
+        for alpha in (d.alpha,) + alphas:
+            expected = PolyMap(((e1 + d.w) * alpha, e2 * alpha, e3 * alpha))
+            assert reconstruct(Decomposition(alpha, d.w, d.q)) == expected
+        assert kernel_shear(d.q) == PolyMap((e1, e2, e3))
 
 
 def test_kernel_shear_needs_kernel_coordinates():
@@ -284,6 +336,60 @@ def test_decompose_substitutes_nothing(monkeypatch):
     with pytest.raises(NotInCentralizer):
         decompose(PolyMap((X + Y, Y, Z)))
     assert counts == {}
+
+
+def _count_products(monkeypatch, counts):
+    # Products of two multi-term polynomials in x, y, z, and powers.
+    mul, power = Polynomial.__mul__, Polynomial.__pow__
+
+    def counted_mul(self, other):
+        if isinstance(other, Polynomial) and self.dimension == 3:
+            if min(len(self.exponents()), len(other.exponents())) > 1:
+                counts["mul3"] = counts.get("mul3", 0) + 1
+        return mul(self, other)
+
+    def counted_pow(self, exponent):
+        counts["pow"] = counts.get("pow", 0) + 1
+        return power(self, exponent)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted_mul)
+    monkeypatch.setattr(Polynomial, "__rmul__", counted_mul)
+    monkeypatch.setattr(Polynomial, "__pow__", counted_pow)
+
+
+def test_decompose_works_in_kernel_coordinates(monkeypatch):
+    # Neither direction calls kernel_coordinates, takes a power or multiplies two
+    # multi-term 3-variable polynomials.
+    import cremona3.derivation
+    import cremona3.nagata
+
+    rng = random.Random(103)
+    members = [reconstruct(d) for d in _wide_triples(rng, 6)]
+    members += [reconstruct(random_decomposition(rng)) for _ in range(6)]
+    members.append(OBJS.h)
+    counts = {}
+    for module in (cremona3.derivation, cremona3.nagata):
+        _count_calls(monkeypatch, module, "kernel_coordinates", counts)
+    _count_products(monkeypatch, counts)
+    for f in members:
+        assert reconstruct(decompose(f)) == f
+    assert counts == {}
+
+
+def test_reconstruct_expands_and_squares_q_once(monkeypatch):
+    import cremona3.nagata
+
+    rng = random.Random(107)
+    triples = _wide_triples(rng, 6)
+    counts = {}
+    _count_calls(monkeypatch, cremona3.nagata, "from_kernel_coordinates", counts)
+    _count_calls(monkeypatch, cremona3.nagata, "mul_terms", counts)
+    _count_products(monkeypatch, counts)
+    for d in triples:
+        for build in (lambda: reconstruct(d), lambda: kernel_shear(d.q)):
+            counts.clear()
+            build()
+            assert counts == {"from_kernel_coordinates": 1, "mul_terms": 1}
 
 
 @pytest.mark.parametrize("kind", ["cy", "cz2"])

@@ -1,6 +1,7 @@
 """Command-line surface: golden outputs and the exit-code contract."""
 
 import sys
+import time
 
 import pytest
 
@@ -207,6 +208,36 @@ def test_character_malformed_rationals_still_exit_2(capsys):
         assert err.startswith("parse error: not a rational number")
 
 
+
+def test_character_exponent_notation_matches_plain_digits(capsys):
+    plain = run(capsys, "character", "--k", "1", "--beta", "100", "--gamma", "1")
+    assert plain == (0, "1000000\n", "")
+    for beta in ("1e2", "1E2", "1.0e+2", "10e1", "1_0e1", "1000e-1"):
+        assert run(capsys, "character", "--k", "1", "--beta", beta, "--gamma", "1") == plain
+
+
+def _exits_3_quickly(capsys, *argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == "error: decimal exponent exceeds the limit of " \
+        f"{sys.get_int_max_str_digits()} digits in a rational argument\n"
+
+
+@pytest.mark.parametrize("beta", ["1e4000000", "1.5E-4_000_000", " 2e99999999 ", "1e" + "9" * 5000])
+def test_character_huge_decimal_exponent_exits_3_at_once(capsys, beta):
+    _long_literals_are_limited()
+    _exits_3_quickly(capsys, "character", "--k", "1", "--beta=" + beta, "--gamma", "1")
+
+
+def test_character_malformed_exponent_tokens_still_exit_2(capsys):
+    for beta in ("3/4e99999", "e99999", "1e", "1e4000000x"):
+        code, out, err = run(capsys, "character", "--k", "1", "--beta", beta, "--gamma", "1")
+        assert (code, out) == (2, "")
+        assert err == f"parse error: not a rational number: {beta!r}\n"
+
+
 # -- invert -------------------------------------------------------------------------
 
 
@@ -288,6 +319,15 @@ def test_invert_rationals_past_the_digit_limit_exit_3(tmp_path, capsys, line):
     assert (code, out) == (3, "")
     assert err.startswith("error: integer literal of 5000 digits exceeds the limit")
     assert err.count("\n") == 1 and len(err) < 200
+
+
+
+@pytest.mark.parametrize("line", ["scalar 1e4000000", "affine 1 0 0 0 1 0 0 0 1e-4000000 0 0 0"])
+def test_invert_huge_decimal_exponent_exits_3_at_once(tmp_path, capsys, line):
+    _long_literals_are_limited()
+    word = tmp_path / "word.txt"
+    word.write_text(line + "\n")
+    _exits_3_quickly(capsys, "invert", "--word", str(word))
 
 
 def test_invert_missing_file_exits_3(tmp_path, capsys):

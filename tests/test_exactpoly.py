@@ -18,6 +18,7 @@ from cremona3 import (
     variables,
 )
 from cremona3._termops import MAX_EXPONENT
+from cremona3.verify import random_polynomial
 from oracle import (
     as_dict,
     from_poly,
@@ -225,6 +226,27 @@ def test_scalar_arithmetic():
     assert P - 1 == P + Polynomial.constant(3, -1)
     assert -P == -1 * P
     assert (X + 1) ** 3 == X ** 3 + 3 * X ** 2 + 3 * X + 1
+
+
+
+def test_division_by_a_scalar_matches_multiplying_by_its_inverse():
+    rng = random.Random(97)
+    divisors = [1, 7, -1, -12, Fraction(3, 4), Fraction(-5, 6), Fraction(-1, 10**12 + 39)]
+    for _ in range(30):
+        p = random_polynomial(rng, max_degree=4, max_terms=6)
+        for d in divisors + [Fraction(rng.randint(-50, 50) or 1, rng.randint(1, 50))]:
+            q = p / d
+            assert q == p * (Fraction(1) / Fraction(d))
+            den, _ = q.integer_terms()
+            assert den > 0
+
+
+def test_division_by_zero_raises():
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            P / zero
+        with pytest.raises(ZeroDivisionError):
+            Polynomial.zero(3) / zero
 
 
 # -- substitute ----------------------------------------------------------
