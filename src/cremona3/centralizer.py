@@ -14,7 +14,7 @@ every i, which for D = (y, z, 0) reads D(f1) = f2, D(f2) = f3, D(f3) = 0
 (see ``is_in_centralizer``).  Both directions of the splitting work in
 kernel coordinates (Z, P), where q and w have a few terms: ``decompose``
 reads them off the y = 0 slice of two kernel elements (exact, by the
-lemma in its docstring), and ``reconstruct`` expands q once and
+lemma in ``kernel_coordinates``), and ``reconstruct`` expands q once and
 multiplies the three factors out in closed form.
 
 ``decompose`` accepts raw maps (the one place raw maps are accepted)
@@ -29,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._termops import EXPONENT_BITS, FIELD_MASK, normalize
 from .autgroup import PolyMap
+from .derivation import _Z_SHIFT, _read_off
 from .errors import (
     DimensionMismatch,
     MalformedCentralizerElement,
@@ -92,8 +92,6 @@ def is_in_centralizer(f: PolyMap) -> bool:
     return D.apply(f1) == f2 and D.apply(f2) == f3 and D.apply(f3).is_zero()
 
 
-#: Bit offset of z in a packed monomial of (x, y, z), and the kernel coordinate Z.
-_Z_SHIFT = 2 * EXPONENT_BITS
 _KERNEL_Z = Polynomial.variable(0, 2)
 
 
@@ -104,20 +102,18 @@ def decompose(f: PolyMap) -> Decomposition:
     MalformedCentralizerElement when it commutes but some extraction
     step fails (impossible for genuine automorphisms).
 
-    The checks leave two kernel elements, q_raw = (f2 - a y)/z = a q and
-    residue = f1 - a x - q_raw y = a (w + q^2 z/2).  Each is c(z, p) for
-    the c read off its y-free terms, x^i z^j -> Z^(j-i) P^i (p = xz at
-    y = 0); then q and w are computed in (Z, P).  The read-off is exact
-    by a lemma that does not use the kernel theorem: if g is in ker D
-    and g(x, 0, z) = 0, then g = 0.  Otherwise g = y^k h with k >= 1 and
-    y not dividing h, and 0 = D(g) = y^(k-1) (k z h + y D(h)) makes y
-    divide k z h, hence h.  Apply it to g = kernel element - c(z, p).
+    The checks leave q_raw = (f2 - a y)/z = a q and residue =
+    f1 - a x - q_raw y = a (w + q^2 z/2), both in ker D by membership
+    (D(f1) = f2, D(f2) = f3 = a z): z D(q_raw) = D(f2 - a y) = 0 and
+    D(residue) = f2 - a y - q_raw z = 0.  Each is c(z, p) for the c read
+    off its y-free terms (exact, see ``kernel_coordinates``; a term
+    x^i z^j with j < i cannot occur, as ker D = C[z, p]); then q and w
+    are computed in (Z, P).
     """
     if f.dimension != 3:
         raise DimensionMismatch(f"decompose needs dimension 3, got {f.dimension}")
     if not is_in_centralizer(f):
         raise NotInCentralizer("the map does not commute with the degree-one shear")
-    D = standard_objects().D
     x, y = (Polynomial.variable(i, 3) for i in range(2))
     f1, f2, f3 = f.components
 
@@ -130,15 +126,10 @@ def decompose(f: PolyMap) -> Decomposition:
     q_raw = (f2 - y * scale).divided_by_power(2, 1)
     if q_raw is None:
         raise MalformedCentralizerElement("second component minus alpha*y is not divisible by z")
-    if not D.apply(q_raw).is_zero():
-        raise MalformedCentralizerElement("extracted shear exponent is not a kernel element")
-
     residue = f1 - x * scale - q_raw * y
-    if not D.apply(residue).is_zero():
-        raise MalformedCentralizerElement("first-component residue is not a kernel element")
 
-    q = _read_off(q_raw) / scale
-    shift = _read_off(residue) / scale - q * q * _KERNEL_Z / 2
+    q = _read_off(q_raw)[0] / scale
+    shift = _read_off(residue)[0] / scale - q * q * _KERNEL_Z / 2
     if not shift.depends_only_on({0}):
         raise MalformedCentralizerElement(
             "shift component is not a polynomial in z alone"
@@ -146,20 +137,6 @@ def decompose(f: PolyMap) -> Decomposition:
     # w(Z) -> w(z): Z^k is the packed key k, z^k is k << _Z_SHIFT.
     w = Polynomial._make(3, shift._den, {k << _Z_SHIFT: c for k, c in shift._terms.items()})
     return Decomposition(alpha=scale, w=w, q=q)
-
-
-def _read_off(g: Polynomial) -> Polynomial:
-    # c(Z, P) from the y-free terms of a kernel element g = c(z, p): x^i z^j -> Z^(j-i) P^i.
-    out = {}
-    for key, c in g._terms.items():
-        if not (key >> EXPONENT_BITS) & FIELD_MASK:
-            i, j = key & FIELD_MASK, key >> _Z_SHIFT
-            if j < i:
-                raise MalformedCentralizerElement(
-                    f"the x^{i} z^{j} term of a kernel element is not a monomial in z and p"
-                )
-            out[(j - i) | (i << EXPONENT_BITS)] = c
-    return Polynomial._make(2, *normalize(g._den, out))
 
 
 def reconstruct(d: Decomposition) -> PolyMap:

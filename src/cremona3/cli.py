@@ -32,6 +32,8 @@ from .derivation import (
 )
 from .errors import DomainError, ParseError
 from .grammar import (
+    _check_printable_power,
+    _digit_limit,
     _int_literal,
     format_map,
     format_polynomial,
@@ -54,7 +56,7 @@ def _parse_rational_token(text: str) -> Fraction:
     # 1e4000000 is nine characters but a 4-million-digit integer: bound the
     # exponent by the interpreter's digit limit before Fraction expands it.
     exponent = _DECIMAL_EXPONENT.fullmatch(text)
-    limit = sys.get_int_max_str_digits()
+    limit = _digit_limit()
     if exponent and limit:
         digits = exponent.group(1).replace("_", "").lstrip("0")
         if len(digits) > len(str(limit)) or int(digits or 0) > limit:
@@ -165,6 +167,8 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_character(args) -> int:
     t = TorusElement(_parse_rational_token(args.beta), _parse_rational_token(args.gamma))
+    if args.k >= 0:  # a negative index keeps the error character_lambda gives it
+        _check_printable_power(t.beta * t.gamma, 2 * args.k + 1)
     print(format_rational(character_lambda(args.k, t)))
     return 0
 

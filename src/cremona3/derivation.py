@@ -13,8 +13,9 @@ and returns the one-parameter family exp(tD).
 ``kernel_coordinates`` is specialized to the fixed three-variable
 derivation with images (y, z, 0): its kernel is the polynomial ring in z
 and the invariant quadric p = xz - y^2/2, and the function rewrites a
-kernel element in those two coordinates (raising NotInKernelRing when
-the input does not lie in the kernel ring).
+kernel element in those two coordinates, read off its y-free terms
+after one ``apply`` (raising NotInKernelRing when the input does not
+lie in the kernel ring).
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
+from ._termops import EXPONENT_BITS, FIELD_MASK, normalize
 from .errors import BoundExceeded, DimensionMismatch, NotInKernelRing
-from .exactpoly import Polynomial, _derive
+from .exactpoly import MINUS_INFINITY, Polynomial, _derive
 
 #: Iteration budget used when no explicit bound is passed.  The
 #: derivations this package manipulates terminate within three steps.
@@ -199,35 +201,53 @@ def nagata_invariant() -> Polynomial:
 def kernel_coordinates(f: Polynomial) -> Polynomial:
     """Rewrite f as c(Z, P) with c(z, xz - y^2/2) = f.
 
-    Recurses on d = deg_x(f): the x^d coefficient of any element of the
-    kernel ring is c_d(z) * z^d, so it must be y-free and divisible by
-    z^d; subtract c_d(z) * p^d and repeat.  Raises NotInKernelRing as
-    soon as a step fails.
+    Succeeds iff D(f) = 0 for D = (y, z, 0) and no y-free term x^i z^j
+    of f has j < i; c is read off the y-free terms, x^i z^j ->
+    Z^(j-i) P^i, since p = xz at y = 0.  This is exact by a lemma that
+    does not use the kernel theorem: if g is in ker D and g(x, 0, z) = 0,
+    then g = 0.  Otherwise g = y^k h with k >= 1 and y not dividing h,
+    and 0 = D(g) = y^(k-1) (k z h + y D(h)) makes y divide k z h, hence
+    h.  Apply it to g = f - c(z, p).
+
+    NotInKernelRing names the degree where the division algorithm stops
+    (at d = deg_x r, require the x^d coefficient r_d of the remainder r
+    to be c_d(z) z^d, subtract c_d(z) p^d, repeat).  Each subtracted
+    c(z, p) is killed by D, so D(r) = D(f) and deg_x r >= d_A = deg_x
+    D(f); the x^d coefficient of D(r) is z dr_d/dy, so r_d involves y
+    iff d = d_A.  At y = 0 a subtracted c(z, p) has only terms with
+    j >= i, so a y-free r_d is not divisible by z^d iff f has a y-free
+    term x^d z^j with j < d; let d_B be the largest such d.  So the
+    algorithm stops at max(d_A, d_B), reporting the y when d_A = d_B.
     """
     if f.dimension != 3:
         raise DimensionMismatch(f"kernel coordinates need dimension 3, got {f.dimension}")
-    p = nagata_invariant()
-    out = Polynomial.zero(2)
-    work = f
-    while not work.is_zero():
-        d = work.degree_in(0)
-        lead = work.coefficient_of_power(0, d)
-        if not lead.depends_only_on({2}):
-            raise NotInKernelRing(
-                f"the x^{d} coefficient involves y, so the input is not in the kernel ring"
-            )
-        quotient = lead.divided_by_power(2, d)
-        if quotient is None:
-            raise NotInKernelRing(
-                f"the x^{d} coefficient is not divisible by z^{d}"
-            )
-        # c_d(z) becomes c_d(Z) P^d.
-        den, numerators = quotient.integer_terms()
-        out = out + Polynomial(2, {(exps[2], d): c for exps, c in numerators.items()}) / den
-        if d == 0:
-            break
-        work = work - quotient * p ** d
-    return out
+    d_a = nagata_derivation().apply(f).degree_in(0)
+    c, d_b = _read_off(f)
+    if d_a >= max(d_b, 0):
+        raise NotInKernelRing(
+            f"the x^{d_a} coefficient involves y, so the input is not in the kernel ring"
+        )
+    if d_b >= 0:
+        raise NotInKernelRing(f"the x^{d_b} coefficient is not divisible by z^{d_b}")
+    return c
+
+
+_Z_SHIFT = 2 * EXPONENT_BITS  # bit offset of z in a packed monomial of (x, y, z)
+
+
+def _read_off(g: Polynomial) -> tuple[Polynomial, float]:
+    # c(Z, P) from the y-free terms of g = c(z, p), x^i z^j -> Z^(j-i) P^i, and
+    # the largest i of a y-free term with j < i (-inf if none), which has no image.
+    out = {}
+    d_b = MINUS_INFINITY
+    for key, c in g._terms.items():
+        if not (key >> EXPONENT_BITS) & FIELD_MASK:
+            i, j = key & FIELD_MASK, key >> _Z_SHIFT
+            if j < i:
+                d_b = max(d_b, i)
+            else:
+                out[(j - i) | (i << EXPONENT_BITS)] = c
+    return Polynomial._make(2, *normalize(g._den, out)), d_b
 
 
 def from_kernel_coordinates(c: Polynomial) -> Polynomial:

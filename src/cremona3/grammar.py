@@ -85,13 +85,20 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _digit_limit() -> int:
+    """The interpreter's limit on integer string conversion; 0 (no limit)
+    where ``sys.get_int_max_str_digits`` is missing, as before Python 3.10.7."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    return get_limit() if get_limit else 0
+
+
 def _int_literal(digits: str, where: str) -> int:
     try:
         return int(digits)
     except ValueError:  # past the interpreter's limit on integer string conversion
         raise DomainError(
             f"integer literal of {len(digits)} digits exceeds the limit of "
-            f"{sys.get_int_max_str_digits()} digits{where}"
+            f"{_digit_limit()} digits{where}"
         ) from None
 
 
@@ -253,9 +260,22 @@ def _format_ratio(numerator: int, denominator: int) -> str:
             return f"{numerator // g}/{denominator // g}"
         return str(numerator // g)
     except ValueError:  # past the interpreter's limit on integer string conversion
-        raise DomainError(
-            f"a coefficient exceeds the limit of {sys.get_int_max_str_digits()} digits for printing"
-        ) from None
+        raise _unprintable() from None
+
+
+def _unprintable() -> DomainError:
+    return DomainError(f"a coefficient exceeds the limit of {_digit_limit()} digits for printing")
+
+
+def _check_printable_power(base: Fraction, exponent: int) -> None:
+    """Raise the formatter's DomainError, without computing base^exponent,
+    when the power's numerator or denominator has too many digits to print:
+    the power of a b-bit part has more than (b - 1) * exponent * log10(2)."""
+    limit = _digit_limit()
+    for part in (base.numerator, base.denominator):
+        # 3010299 / 10^7 < log10(2) keeps the estimate below the true digit count.
+        if limit and (abs(part).bit_length() - 1) * exponent * 3010299 // 10**7 >= limit:
+            raise _unprintable()
 
 
 def _term_order_key(exps):

@@ -12,6 +12,7 @@ from cremona3 import (
     DimensionMismatch,
     MalformedCentralizerElement,
     NotInCentralizer,
+    NotInKernelRing,
     PolyMap,
     Polynomial,
     commutes,
@@ -21,13 +22,14 @@ from cremona3 import (
     from_kernel_coordinates,
     is_in_H,
     is_in_centralizer,
+    kernel_coordinates,
     kernel_shear,
     reconstruct,
     standard_objects,
     variables,
     verify_theorem_identities,
 )
-from cremona3.centralizer import _read_off
+from cremona3.derivation import _read_off
 from cremona3.verify import (
     random_decomposition,
     random_kernel_polynomial,
@@ -185,13 +187,13 @@ def kernel_polynomials_with_large_denominators(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(kernel_polynomials_with_large_denominators())
 def test_read_off_recovers_kernel_coordinates(c):
-    # At y = 0, p = xz: the y-free terms of c(z, p) determine c.
-    assert _read_off(from_kernel_coordinates(c)) == c
+    # At y = 0, p = xz: the y-free terms of c(z, p) determine c, and none has j < i.
+    assert _read_off(from_kernel_coordinates(c)) == (c, float("-inf"))
 
 
 def test_read_off_rejects_terms_outside_the_kernel_ring():
-    with pytest.raises(MalformedCentralizerElement, match="x\\^2 z\\^1 term"):
-        _read_off(X * X * Z + Z)
+    with pytest.raises(NotInKernelRing, match="^the x\\^2 coefficient is not divisible by z\\^2$"):
+        kernel_coordinates(X * X * Z + Z)
 
 
 # -- reconstruct ----------------------------------------------------------------
@@ -407,6 +409,25 @@ def test_near_miss_is_rejected_after_one_apply(monkeypatch, kind):
         counts.clear()
         with pytest.raises(NotInCentralizer):
             decompose(f)
+        assert counts == {"apply": 1}
+
+
+def test_accepted_decompose_costs_three_applies(monkeypatch):
+    # The membership test's three; q_raw and the residue are kernel elements by it.
+    from cremona3 import Derivation
+
+    rng = random.Random(109)
+    members = [reconstruct(random_decomposition(rng)) for _ in range(6)] + [OBJS.h]
+    counts = {}
+    _count_calls(monkeypatch, Derivation, "apply", counts)
+    for f in members:
+        counts.clear()
+        d = decompose(f)
+        assert counts == {"apply": 3}
+        assert reconstruct(d) == f
+        counts.clear()
+        with pytest.raises(NotInCentralizer):
+            decompose(_near_miss(f, "cy", Fraction(2, 7)))
         assert counts == {"apply": 1}
 
 

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+import cremona3.cli
 from cremona3 import Polynomial
 from cremona3._termops import MAX_EXPONENT
 from cremona3.cli import main
@@ -137,9 +138,12 @@ def test_kernel_coords_golden(capsys):
 
 
 def test_kernel_coords_rejects_non_kernel_input(capsys):
-    code, _, err = run(capsys, "kernel-coords", "y")
-    assert code == 3
-    assert "error" in err
+    for expression, message in [
+        ("y", "the x^0 coefficient involves y, so the input is not in the kernel ring"),
+        ("x", "the x^1 coefficient is not divisible by z^1"),
+        ("x^2*z + z", "the x^2 coefficient is not divisible by z^2"),
+    ]:
+        assert run(capsys, "kernel-coords", expression) == (3, "", f"error: {message}\n")
 
 
 # -- decompose -------------------------------------------------------------------
@@ -182,6 +186,33 @@ def test_character_negative_index_exits_3(capsys):
     code, _, err = run(capsys, "character", "--k", "-1", "--beta", "2", "--gamma", "3")
     assert code == 3
     assert "error" in err
+
+
+def test_character_past_the_print_limit_exits_3_without_the_power(capsys, monkeypatch):
+    # 3^9011 has 4300 digits and 3^9013 has 4301; a huge k is refused from bit lengths.
+    if sys.get_int_max_str_digits() != 4300:
+        pytest.skip("pins the default limit of 4300 digits")
+    code, out, err = run(capsys, "character", "--k", "4505", "--beta", "3", "--gamma", "1")
+    assert (code, out, err) == (0, f"{3 ** 9011}\n", "")
+    refused = (3, "", "error: a coefficient exceeds the limit of 4300 digits for printing\n")
+    assert run(capsys, "character", "--k", "4506", "--beta", "3", "--gamma", "1") == refused
+
+    def refuse(k, t):
+        raise AssertionError("a power past the print limit was computed")
+
+    monkeypatch.setattr(cremona3.cli, "character_lambda", refuse)
+    for beta, gamma in [("3", "1"), ("1", "1/3"), ("-2/3", "5")]:
+        start = time.perf_counter()
+        argv = ("character", "--k", "10000000", f"--beta={beta}", f"--gamma={gamma}")
+        assert run(capsys, *argv) == refused
+        assert time.perf_counter() - start < 1.0
+
+
+def test_character_without_a_digit_limit_function(capsys, monkeypatch):
+    # Python 3.10.0-3.10.6 has no sys.get_int_max_str_digits (and no limit).
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    assert run(capsys, "character", "--k", "1", "--beta", "2", "--gamma", "3") == (0, "216\n", "")
+    assert run(capsys, "character", "--k", "0", "--beta", "1e2", "--gamma", "1") == (0, "100\n", "")
 
 
 def _long_literals_are_limited():

@@ -22,7 +22,7 @@ from cremona3 import (
     partial_derivation,
     variables,
 )
-from cremona3.verify import random_kernel_polynomial
+from cremona3.verify import random_kernel_polynomial, random_nonzero_rational, random_polynomial
 from test_exactpoly import polynomials
 
 X, Y, Z = variables(3)
@@ -263,9 +263,9 @@ def test_kernel_coordinates_dimension_check():
 
 
 def test_kernel_coordinates_memory_stays_linear_in_the_degree():
-    # x^N z^N passes the first step (quotient 1) and fails the second; holding
-    # every power p^0..p^N on the way would peak near 6 MB here, one power at a
-    # time stays near 0.1 MB.
+    # x^N z^N is y-free with j >= i, and D(x^N z^N) = N x^(N-1) y z^N puts the
+    # failure at x^(N-1).  The division algorithm reaches it after one power
+    # of p; holding every power p^0..p^N on the way would peak near 6 MB here.
     n = 300
     tracemalloc.start()
     try:
@@ -275,6 +275,60 @@ def test_kernel_coordinates_memory_stays_linear_in_the_degree():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def _kernel_coordinates_by_division(f):
+    # Reference: the division algorithm.  At d = deg_x r the x^d coefficient of
+    # the remainder r must be c_d(z) z^d; c_d(Z) P^d joins the result and
+    # c_d(z) p^d leaves r.
+    out = Polynomial.zero(2)
+    work = f
+    while not work.is_zero():
+        d = work.degree_in(0)
+        lead = work.coefficient_of_power(0, d)
+        if not lead.depends_only_on({2}):
+            raise NotInKernelRing(
+                f"the x^{d} coefficient involves y, so the input is not in the kernel ring"
+            )
+        quotient = lead.divided_by_power(2, d)
+        if quotient is None:
+            raise NotInKernelRing(f"the x^{d} coefficient is not divisible by z^{d}")
+        den, numerators = quotient.integer_terms()
+        out = out + Polynomial(2, {(exps[2], d): c for exps, c in numerators.items()}) / den
+        if d == 0:
+            break
+        work = work - quotient * P ** d
+    return out
+
+
+def _outcome(rewrite, f):
+    try:
+        return rewrite(f)
+    except NotInKernelRing as exc:
+        return str(exc)
+
+
+def test_kernel_coordinates_matches_the_division_algorithm():
+    # Same value or the same message on kernel elements, kernel elements with one
+    # or a few foreign terms, random polynomials and the deep x^300 z^300.
+    rng = random.Random(29)
+    inputs = [Polynomial(3, {(300, 0, 300): 1}), X * X * Y + X * X, X * X * Z + Z]
+    for _ in range(750):
+        kernel = from_kernel_coordinates(random_kernel_polynomial(rng, max_degree=4))
+        monomial = Polynomial(3, {tuple(rng.randint(0, 4) for _ in range(3)): 1})
+        inputs += [
+            kernel,
+            kernel + monomial * random_nonzero_rational(rng),
+            kernel + random_polynomial(rng, max_degree=5, max_terms=2),
+            random_polynomial(rng, max_degree=5),
+        ]
+    outcomes = [_outcome(_kernel_coordinates_by_division, f) for f in inputs]
+    messages = [o for o in outcomes if isinstance(o, str)]
+    assert 1000 < len(messages) < len(inputs) - 1000
+    assert any("involves y" in m for m in messages)
+    assert any("not divisible" in m for m in messages)
+    for f, expected in zip(inputs, outcomes):
+        assert _outcome(kernel_coordinates, f) == expected
 
 
 def test_kernel_round_trip_random():
