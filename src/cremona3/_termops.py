@@ -16,8 +16,12 @@ A *term map* here is a dict from packed monomials to nonzero ints.  The
 rational layer (``exactpoly``) keeps one positive denominator beside it,
 and ``normalize`` makes such a pair canonical.
 
-All functions return canonical maps (no zero coefficients) and do not
-mutate their arguments, except ``iadd_scaled_terms`` whose name says so.
+The kernels are ``scale_terms``, ``mul_terms``, ``iadd_scaled_terms``
+(sums and differences: scale one side, accumulate the other into it),
+``combine_terms`` (a sum of monomial multiples, as in a closed-form
+shear) and ``derive_terms`` (a derivation applied to a term map).  All
+return canonical maps (no zero coefficients) and do not mutate their
+arguments, except ``iadd_scaled_terms`` whose name says so.
 """
 
 from functools import lru_cache, reduce
@@ -71,38 +75,6 @@ def normalize(den: int, terms: dict):
         if g != 1:
             return den // g, {e: c // g for e, c in terms.items()}
     return den, terms
-
-
-def add_terms(a, b):
-    if not b:
-        return dict(a)
-    if not a:
-        return dict(b)
-    out = dict(a)
-    get = out.get
-    for e, c in b.items():
-        s = get(e, 0) + c
-        if s:
-            out[e] = s
-        else:
-            del out[e]
-    return out
-
-
-def sub_terms(a, b):
-    out = dict(a)
-    get = out.get
-    for e, c in b.items():
-        s = get(e, 0) - c
-        if s:
-            out[e] = s
-        else:
-            del out[e]
-    return out
-
-
-def neg_terms(a):
-    return {e: -c for e, c in a.items()}
 
 
 def scale_terms(a, c):

@@ -42,7 +42,6 @@ from .grammar import (
     parse_polynomial,
 )
 from .nagata import TorusElement, character_lambda
-from .verify import QUICK, run_suite
 
 
 #: A decimal in exponent notation as ``Fraction`` reads it; group 1 is the exponent.
@@ -174,6 +173,8 @@ def _cmd_character(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
+    from .verify import QUICK, run_suite
+
     results = run_suite(seed=args.seed, profile=QUICK)
     for result in results:
         if result.passed:

@@ -30,15 +30,12 @@ from typing import Iterable, Mapping, Sequence, Union
 from ._termops import (
     EXPONENT_BITS,
     FIELD_MASK,
-    add_terms,
     derive_terms,
     iadd_scaled_terms,
     mul_terms,
-    neg_terms,
     normalize,
     pack,
     scale_terms,
-    sub_terms,
     unpack,
 )
 from .errors import ArityMismatch, DimensionMismatch, IndexOutOfRange
@@ -70,8 +67,7 @@ class Polynomial:
     __slots__ = ("_dimension", "_den", "_terms", "_hash")
 
     def __init__(self, dimension: int, terms=()):
-        if not isinstance(dimension, int) or dimension < 1:
-            raise DimensionMismatch(f"dimension must be a positive integer, got {dimension!r}")
+        _check_dimension(dimension)
         items = terms.items() if isinstance(terms, Mapping) else terms
         merged: dict[int, Scalar] = {}
         for exps, coeff in items:
@@ -97,6 +93,7 @@ class Polynomial:
 
     @classmethod
     def zero(cls, dimension: int) -> "Polynomial":
+        _check_dimension(dimension)
         return cls._make(dimension, 1, {})
 
     @classmethod
@@ -105,10 +102,9 @@ class Polynomial:
 
     @classmethod
     def constant(cls, dimension: int, value) -> "Polynomial":
+        _check_dimension(dimension)
         value = Fraction(value)
-        if not value:
-            return cls.zero(dimension)
-        return cls._make(dimension, value.denominator, {0: value.numerator})
+        return cls._make(dimension, value.denominator, {0: value.numerator} if value else {})
 
     @classmethod
     def variable(cls, index: int, dimension: int) -> "Polynomial":
@@ -172,9 +168,6 @@ class Polynomial:
         if not other._terms:
             return self
         da, db = self._den, other._den
-        if da == db:
-            kernel = add_terms if sign > 0 else sub_terms
-            return Polynomial._make(self._dimension, *normalize(da, kernel(self._terms, other._terms)))
         g = gcd(da, db)
         acc = scale_terms(self._terms, db // g)
         iadd_scaled_terms(acc, other._terms, sign * (da // g))
@@ -201,7 +194,7 @@ class Polynomial:
         return other._plus(self, -1)
 
     def __neg__(self):
-        return Polynomial._make(self._dimension, self._den, neg_terms(self._terms))
+        return Polynomial._make(self._dimension, self._den, scale_terms(self._terms, -1))
 
     def __pos__(self):
         return self
@@ -414,6 +407,11 @@ def _derive(f: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
     scaled = [(shift, im._terms, common // im._den) for shift, im in used]
     terms = derive_terms(f._terms, scaled)
     return Polynomial._make(f._dimension, *normalize(f._den * common, terms))
+
+
+def _check_dimension(dimension) -> None:
+    if not isinstance(dimension, int) or dimension < 1:
+        raise DimensionMismatch(f"dimension must be a positive integer, got {dimension!r}")
 
 
 def _pack_checked(dimension: int, exps) -> int:

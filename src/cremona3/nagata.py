@@ -13,7 +13,9 @@ Because q lies in ker D, exp(qD) is the closed form
 ``kernel_shear``: (x + q y + q^2 z/2, y + q z, z), with no series to sum.
 
 The torus (b^2/g * x, b * y, g * z) acts on these by conjugation and
-rescales exp(s * p(pz^2)^k D) by the character (b*g)^(2k+1).
+rescales exp(s * p(pz^2)^k D) by the character (b*g)^(2k+1).  The
+action is the substitution (Z, P) -> (g Z, b^2 P) times g/b on the
+exponent (``torus_conjugate``), so nothing in this module composes maps.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from math import lcm
 from typing import NamedTuple, Sequence
 
 from ._termops import EXPONENT_BITS, combine_terms, mul_terms, normalize
-from .autgroup import PolyMap, compose
+from .autgroup import PolyMap
 from .derivation import (
     Derivation,
     from_kernel_coordinates,
@@ -42,7 +44,7 @@ from .errors import (
     NotInKernelRing,
     NotMonomialInK,
 )
-from .exactpoly import Polynomial
+from .exactpoly import Polynomial, variables
 
 
 class StandardObjects(NamedTuple):
@@ -204,18 +206,27 @@ def character_lambda(k: int, t: TorusElement) -> Fraction:
 
 
 def torus_conjugate(t: TorusElement, u: UnipotentElement) -> UnipotentElement:
-    """Conjugate the unipotent element by the torus element.
+    """Conjugate the unipotent element by the torus element: t^-1 o u o t.
 
-    The result is again exp(q'D) for a kernel exponent q'; on the
-    one-parameter subgroup through exp(s * p(pz^2)^k D) the conjugation
-    rescales the exponent by exactly character_lambda(k, t).
+    For u = exp(c(z, p) D) and t = (b^2/g x, b y, g z) the conjugate is
+
+        exp((g/b) * c(g Z, b^2 P) * D),
+
+    one substitution in kernel coordinates; no map is composed.  Proof:
+    component i of t^-1 o F o t is (F_i o t) / w_i, with w = t.weights().
+    Since z o t = g z and p o t = (b^2/g) x * g z - b^2 y^2 / 2 = b^2 p,
+    q = c(z, p) becomes q o t = c(g z, b^2 p) = (b/g) q'.  Read component
+    2 of u = (x + q y + q^2 z/2, y + q z, z): it becomes
+    (b y + (b/g) q' * g z) / b = y + q' z.  Component 1 becomes
+    x + ((b/g) q' * b y + (b/g)^2 q'^2 * g z/2) * g/b^2 = x + q' y + q'^2 z/2,
+    and component 3 stays z: the result is exp(q'D).  On the
+    one-parameter subgroup through exp(s * p(pz^2)^k D), i.e.
+    c = s Z^(2k) P^(k+1), this rescales the exponent by exactly
+    character_lambda(k, t) = (b*g)^(2k+1).
     """
-    m = compose(t.inverse().to_map(), compose(u.to_map(), t.to_map()))
-    y = Polynomial.variable(1, 3)
-    shifted = (m.components[1] - y).divided_by_power(2, 1)
-    if shifted is None:
-        raise DomainError("conjugate is not a kernel shear; this cannot happen for torus elements")
-    return UnipotentElement(kernel_coordinates(shifted), Fraction(1))
+    Z, P = variables(2)
+    c = u.kernel_part().substitute((Z * t.gamma, P * t.beta ** 2))
+    return UnipotentElement(c * (t.gamma / t.beta))
 
 
 def scale_unipotent(a, u: UnipotentElement) -> UnipotentElement:

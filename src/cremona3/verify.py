@@ -327,17 +327,21 @@ def check_semidirect_normality(rng: random.Random, trials: int) -> CheckResult:
 def _character_failure(samples) -> str:
     """Detail for the first (k, t, s) whose conjugate is not s*(bg)^(2k+1).
 
-    ``samples`` is consumed only up to that failure; "" if all pass.
+    Both the exponent from ``torus_conjugate`` and the map t^-1 o u o t,
+    composed here, must match.  ``samples`` is consumed only up to that
+    failure; "" if all pass.
     """
     for k, t, s in samples:
         u = UnipotentElement(k_monomial(k), s)
         conjugated = torus_conjugate(t, u)
         expected = UnipotentElement(k_monomial(k), s * character_lambda(k, t))
-        if conjugated != expected or conjugated.to_map() != expected.to_map():
-            return (
-                f"k={k}, beta={t.beta}, gamma={t.gamma}, s={s}: got exponent "
-                f"{format_polynomial(conjugated.kernel_part(), ('Z', 'P'))}"
-            )
+        if conjugated != expected:
+            got = f"got exponent {format_polynomial(conjugated.kernel_part(), ('Z', 'P'))}"
+        elif compose(t.inverse().to_map(), compose(u.to_map(), t.to_map())) != expected.to_map():
+            got = "t^-1 o u o t is not the map of the expected exponent"
+        else:
+            continue
+        return f"k={k}, beta={t.beta}, gamma={t.gamma}, s={s}: {got}"
     return ""
 
 

@@ -46,6 +46,13 @@ def test_parse_exponent_past_the_limit_exits_3(capsys):
     assert (code, out) == (0, f"x^{MAX_EXPONENT}\n")
 
 
+@pytest.mark.parametrize("dim, text", [("0", "2/3"), ("-4", "1+1"), ("0", "0")])
+def test_parse_constant_in_a_nonpositive_dimension_exits_3(capsys, dim, text):
+    code, out, err = run(capsys, "parse", "--dim", dim, text)
+    assert (code, out) == (3, "")
+    assert err == f"error: dimension must be a positive integer, got {dim}\n"
+
+
 def test_parse_power_past_the_term_budget_exits_3(capsys, monkeypatch):
     def refuse(self, exponent):
         raise AssertionError("a power past the budget was computed")
@@ -401,17 +408,32 @@ def test_verify_paper_output_is_deterministic_per_seed(capsys):
 
 
 def test_verify_paper_failure_exits_1(capsys, monkeypatch):
-    from cremona3 import cli
+    from cremona3 import verify
     from cremona3.verify import CheckResult
 
+    # The command imports the suite when it runs, so the stub goes on its module.
     monkeypatch.setattr(
-        cli,
+        verify,
         "run_suite",
         lambda seed, profile: [CheckResult("broken-identity", False, "component 1 differs")],
     )
     code, out, _ = run(capsys, "verify-paper")
     assert code == 1
     assert out == "FAIL broken-identity: component 1 differs\n"
+
+
+def test_loading_the_cli_leaves_the_suite_unimported():
+    import subprocess
+    from pathlib import Path
+
+    import cremona3
+
+    probe = "import sys, cremona3.cli; print('cremona3.verify' in sys.modules)"
+    src = str(Path(cremona3.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={"PYTHONPATH": src}, capture_output=True, text=True
+    )
+    assert (done.returncode, done.stdout) == (0, "False\n")
 
 
 # -- argparse usage errors ------------------------------------------------------------

@@ -145,6 +145,19 @@ def test_zero_is_canonical_and_tagged_with_dimension():
         Polynomial.zero(2) + zero
 
 
+@pytest.mark.parametrize("dimension", [0, -4, 2.0, "3"])
+def test_factories_check_the_dimension_like_the_constructor(dimension):
+    for build in (
+        lambda: Polynomial(dimension),
+        lambda: Polynomial.zero(dimension),
+        lambda: Polynomial.one(dimension),
+        lambda: Polynomial.constant(dimension, Fraction(2, 3)),
+        lambda: Polynomial.constant(dimension, 0),
+    ):
+        with pytest.raises(DimensionMismatch, match="dimension must be a positive integer"):
+            build()
+
+
 def test_equality_is_term_map_equality():
     assert X * Z - HALF * Y * Y == P
     assert X + Y != X - Y

@@ -21,6 +21,7 @@ from cremona3 import (
     from_kernel_coordinates,
     is_in_K,
     k_monomial,
+    kernel_coordinates,
     lambda_degree,
     scale_unipotent,
     standard_objects,
@@ -153,6 +154,48 @@ def test_torus_conjugate_k1_scales_by_216():
     t = TorusElement(Fraction(2), Fraction(3))
     u = UnipotentElement(k_monomial(1), Fraction(1))
     assert torus_conjugate(t, u).kernel_part() == 216 * k_monomial(1)
+
+
+def test_torus_conjugate_matches_the_composition():
+    rng = random.Random(1209)
+    mixed = 0
+    for _ in range(120):
+        t = random_torus(rng)
+        u = UnipotentElement(random_kernel_polynomial(rng, 5), random_nonzero_rational(rng))
+        mixed += len(u.q.exponents()) > 1
+        m = compose(t.inverse().to_map(), compose(u.to_map(), t.to_map()))
+        # The second component of t^-1 o u o t is y + q' z.
+        q_prime = kernel_coordinates((m.components[1] - Y).divided_by_power(2, 1))
+        conjugated = torus_conjugate(t, u)
+        assert conjugated == UnipotentElement(q_prime)
+        assert conjugated.to_map() == m
+    assert mixed >= 30
+
+
+def test_torus_conjugate_composes_no_map(monkeypatch):
+    import cremona3.autgroup
+    import cremona3.nagata
+
+    rng = random.Random(1210)
+    samples = [
+        (random_torus(rng), UnipotentElement(random_kernel_polynomial(rng, 5))) for _ in range(20)
+    ]
+    counts = []
+    for owner, name in (
+        (PolyMap, "compose"),
+        (cremona3.autgroup, "compose"),
+        (cremona3.nagata, "kernel_coordinates"),
+    ):
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    for t, u in samples:
+        torus_conjugate(t, u)
+    assert counts == []
 
 
 def test_character_consistency_on_random_torus_elements():

@@ -13,17 +13,16 @@ from cremona3 import DomainError
 from cremona3._termops import (
     EXPONENT_BITS,
     MAX_EXPONENT,
-    add_terms,
+    combine_terms,
+    derive_terms,
     iadd_scaled_terms,
     mul_terms,
-    neg_terms,
     normalize,
     pack,
     scale_terms,
-    sub_terms,
     unpack,
 )
-from oracle import normalize as o_normalize, o_add, o_mul, o_neg
+from oracle import normalize as o_normalize, o_add, o_mul, o_partial
 
 DIMENSION = 3
 ONE = (0,) * DIMENSION
@@ -83,9 +82,6 @@ def _iadd_scaled(a, b, c):
 
 # (name, kernel, oracle expression); both sides take (a, b, scalar).
 KERNELS = [
-    ("add_terms", lambda a, b, c: add_terms(a, b), lambda a, b, c: o_add(a, b)),
-    ("sub_terms", lambda a, b, c: sub_terms(a, b), lambda a, b, c: o_add(a, o_neg(b))),
-    ("neg_terms", lambda a, b, c: neg_terms(a), lambda a, b, c: o_neg(a)),
     ("scale_terms", lambda a, b, c: scale_terms(a, c), lambda a, b, c: o_mul(a, [(c, ONE)])),
     ("mul_terms", lambda a, b, c: mul_terms(a, b), lambda a, b, c: o_mul(a, b)),
     ("iadd_scaled_terms", _iadd_scaled, lambda a, b, c: o_add(a, o_mul(b, [(c, ONE)]))),
@@ -108,16 +104,70 @@ def test_kernels_do_not_mutate_inputs():
     a = _packed({(1, 0, 0): 1})
     b = _packed({(1, 0, 0): -1, (0, 1, 0): 2})
     snapshot_a, snapshot_b = dict(a), dict(b)
-    add_terms(a, b)
-    sub_terms(a, b)
     mul_terms(a, b)
-    neg_terms(a)
     scale_terms(a, 3)
     iadd_scaled_terms(dict(a), b, 3)
+    combine_terms(((a, pack((0, 1, 0)), 2), (b, 0, -1)))
+    derive_terms(a, ((0, b, 3),))
     normalize(6, a)
     assert a == snapshot_a and b == snapshot_b
-    assert add_terms(a, {}) is not a
-    assert add_terms({}, b) is not b
+
+
+def _monomial(rng, top):
+    return tuple(rng.randint(0, top) for _ in range(DIMENSION))
+
+
+def test_combine_terms_matches_oracle_with_key_offsets():
+    rng = random.Random("termops:combine_terms")
+    for _ in range(300):
+        parts = []
+        for _ in range(rng.randint(0, 4)):
+            a, _ = _random_pair(rng)
+            # Offsets may take a field near the guard up to MAX_EXPONENT, never past it.
+            room = MAX_EXPONENT - max((max(e) for e in a), default=0)
+            parts.append((a, _monomial(rng, min(room, 2)), rng.randint(-4, 4)))
+        got = combine_terms([(_packed(a), pack(k), m) for a, k, m in parts])
+        expected = []
+        for a, k, m in parts:
+            expected += o_mul(_as_oracle(a), [(m, k)])
+        assert _unpacked(got) == o_normalize(expected)
+        assert all(type(c) is int for c in got.values())
+
+
+def test_combine_terms_offset_past_the_guard_raises():
+    top, y = pack((MAX_EXPONENT, 0, 0)), pack((0, 1, 0))
+    assert _unpacked(combine_terms((({top: 1}, y, 2),))) == {(MAX_EXPONENT, 1, 0): 2}
+    with pytest.raises(DomainError):
+        combine_terms((({top: 1}, pack((1, 0, 0)), 1),))
+    with pytest.raises(DomainError):
+        combine_terms((({0: 1}, y, 1), ({top: 1, y: 1}, pack((1, 0, 0)), 3)))
+
+
+def test_derive_terms_matches_oracle():
+    rng = random.Random("termops:derive_terms")
+    for _ in range(300):
+        a = _random_terms(rng)
+        images = [
+            (i, _random_terms(rng, max_terms=3), rng.randint(-4, 4))
+            for i in range(DIMENSION)
+            if rng.random() < 0.7
+        ]
+        got = derive_terms(_packed(a), [(EXPONENT_BITS * i, _packed(im), m) for i, im, m in images])
+        expected = []
+        for i, im, m in images:
+            expected += o_mul(o_partial(_as_oracle(a), i), o_mul(_as_oracle(im), [(m, ONE)]))
+        assert _unpacked(got) == o_normalize(expected)
+        assert all(type(c) is int for c in got.values())
+
+
+def test_derive_terms_past_the_guard_raises():
+    top = pack((MAX_EXPONENT, 0, 0))
+    # d/dx of x^MAX is MAX * x^(MAX-1); times x it reaches the limit, times x^2 passes it.
+    assert _unpacked(derive_terms({top: 1}, ((0, {pack((1, 0, 0)): 1}, 1),))) == {
+        (MAX_EXPONENT, 0, 0): MAX_EXPONENT
+    }
+    with pytest.raises(DomainError):
+        derive_terms({top: 1}, ((0, {pack((2, 0, 0)): 1}, 1),))
 
 
 def test_pack_round_trips_and_multiplies_by_addition():
