@@ -79,7 +79,6 @@ from .nagata import (
     H_WEIGHTS,
     StandardObjects,
     TorusElement,
-    UnipotentElement,
     character_lambda,
     commutes_with_weight_scaling,
     f2_element,
@@ -87,7 +86,6 @@ from .nagata import (
     k_monomial,
     kernel_shear,
     lambda_degree,
-    scale_unipotent,
     standard_objects,
     torus_conjugate,
 )

@@ -409,6 +409,22 @@ def _derive(f: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
     return Polynomial._make(f._dimension, *normalize(f._den * common, terms))
 
 
+def _signed_sum(parts: Sequence[tuple[int, Polynomial]]) -> Polynomial:
+    """sum of sign * p over ``parts`` = [(sign, p)], all in one dimension.
+
+    One accumulator over the lcm of the denominators, normalized once, so
+    a long sum costs one pass over its terms; a lone positive part comes
+    back as is.
+    """
+    if len(parts) == 1 and parts[0][0] == 1:
+        return parts[0][1]
+    common = lcm(*{p._den for _, p in parts})
+    acc: dict = {}
+    for sign, p in parts:
+        iadd_scaled_terms(acc, p._terms, sign * (common // p._den))
+    return Polynomial._make(parts[0][1]._dimension, *normalize(common, acc))
+
+
 def _check_dimension(dimension) -> None:
     if not isinstance(dimension, int) or dimension < 1:
         raise DimensionMismatch(f"dimension must be a positive integer, got {dimension!r}")

@@ -25,7 +25,7 @@ from math import comb, gcd
 from typing import Optional, Sequence
 
 from .errors import ArityMismatch, DomainError, ParseError, UnknownVariable
-from .exactpoly import Polynomial, default_variable_names
+from .exactpoly import Polynomial, _check_dimension, _signed_sum, default_variable_names
 
 _OPERATORS = set("+-*^/(),")
 
@@ -59,9 +59,9 @@ def _tokenize(text: str) -> list[_Token]:
             column += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("int", text[i:j], line, column))
             column += j - i
@@ -130,12 +130,11 @@ class _Parser:
         return self.advance()
 
     def parse_expr(self) -> Polynomial:
-        value = self.parse_term()
+        parts = [(1, self.parse_term())]
         while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            rhs = self.parse_term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+            sign = 1 if self.advance().kind == "+" else -1
+            parts.append((sign, self.parse_term()))
+        return _signed_sum(parts)
 
     def parse_term(self) -> Polynomial:
         value = self.parse_factor()
@@ -193,6 +192,7 @@ def parse_polynomial(
     text: str, dimension: int = 3, names: Optional[Sequence[str]] = None
 ) -> Polynomial:
     """Parse an expression into a polynomial of the given dimension."""
+    _check_dimension(dimension)
     if names is None:
         names = default_variable_names(dimension)
     parser = _Parser(_tokenize(text), names, dimension)
@@ -236,6 +236,7 @@ def parse_map(
             elif tok.kind == "," and depth == 1:
                 commas += 1
         dimension = commas + 1
+    _check_dimension(dimension)
     if names is None:
         names = default_variable_names(dimension)
     parser = _Parser(tokens, names, dimension)

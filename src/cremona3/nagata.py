@@ -1,21 +1,22 @@
 """The fixed three-variable cast around the Nagata automorphism.
 
 ``standard_objects`` returns the derivation D with x -> y -> z -> 0, the
-x-derivative E, the invariant quadric p = xz - y^2/2, the Nagata map
-h = exp(pD) and the degree-one shear h' = exp(D).
+invariant quadric p = xz - y^2/2, the Nagata map h = exp(pD) and the
+degree-one shear h' = exp(D).
 
-The unipotent elements handled here are exp(q(z,p) D) with q stored in
-kernel coordinates (Z, P), where membership tests and character-degree
-extraction are monomial inspections: q lies in p*C[p z^2] exactly when
-every monomial Z^a P^b has b >= 1 and a = 2(b-1).
+A unipotent element exp(q D) with q = c(z, p) in ker D is held as its
+exponent c alone, a polynomial in kernel coordinates (Z, P), where
+membership tests and character-degree extraction are monomial
+inspections: q lies in p*C[p z^2] exactly when every monomial Z^a P^b
+has b >= 1 and a = 2(b-1).
 
 Because q lies in ker D, exp(qD) is the closed form
 ``kernel_shear``: (x + q y + q^2 z/2, y + q z, z), with no series to sum.
 
 The torus (b^2/g * x, b * y, g * z) acts on these by conjugation and
 rescales exp(s * p(pz^2)^k D) by the character (b*g)^(2k+1).  The
-action is the substitution (Z, P) -> (g Z, b^2 P) times g/b on the
-exponent (``torus_conjugate``), so nothing in this module composes maps.
+action maps the exponent c(Z, P) to (g/b) * c(g Z, b^2 P)
+(``torus_conjugate``), so nothing in this module composes maps.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .derivation import (
     kernel_coordinates,
     nagata_derivation,
     nagata_invariant,
-    partial_derivation,
 )
 from .errors import (
     DimensionMismatch,
@@ -49,7 +49,6 @@ from .exactpoly import Polynomial, variables
 
 class StandardObjects(NamedTuple):
     D: Derivation
-    E: Derivation
     p: Polynomial
     h: PolyMap
     h_prime: PolyMap
@@ -59,11 +58,10 @@ class StandardObjects(NamedTuple):
 def standard_objects() -> StandardObjects:
     """The shared cast; values are immutable and safe to reuse."""
     D = nagata_derivation()
-    E = partial_derivation(0, 3)
     p = nagata_invariant()
     h = PolyMap(D.scaled_by(p).exp_map())
     h_prime = PolyMap(D.exp_map())
-    return StandardObjects(D=D, E=E, p=p, h=h, h_prime=h_prime)
+    return StandardObjects(D=D, p=p, h=h, h_prime=h_prime)
 
 
 @dataclass(frozen=True)
@@ -91,37 +89,6 @@ class TorusElement:
 
     def inverse(self) -> "TorusElement":
         return TorusElement(Fraction(1) / self.beta, Fraction(1) / self.gamma)
-
-
-@dataclass(frozen=True)
-class UnipotentElement:
-    """exp(scale * q(z, p) * D), with q kept in kernel coordinates."""
-
-    q: Polynomial
-    scale: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        if self.q.dimension != 2:
-            raise DimensionMismatch(
-                f"unipotent exponent must be a kernel polynomial in (Z, P), got dimension {self.q.dimension}"
-            )
-        object.__setattr__(self, "scale", Fraction(self.scale))
-
-    def kernel_part(self) -> Polynomial:
-        """The full exponent scale * q as a kernel polynomial."""
-        return self.q * self.scale
-
-    def to_map(self) -> PolyMap:
-        return kernel_shear(self.kernel_part())
-
-    def __eq__(self, other):
-        # Two elements are the same automorphism iff the full exponents agree.
-        if isinstance(other, UnipotentElement):
-            return self.kernel_part() == other.kernel_part()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.kernel_part())
 
 
 def f2_element(w: Polynomial) -> PolyMap:
@@ -205,10 +172,10 @@ def character_lambda(k: int, t: TorusElement) -> Fraction:
     return (t.beta * t.gamma) ** (2 * k + 1)
 
 
-def torus_conjugate(t: TorusElement, u: UnipotentElement) -> UnipotentElement:
-    """Conjugate the unipotent element by the torus element: t^-1 o u o t.
+def torus_conjugate(t: TorusElement, c: Polynomial) -> Polynomial:
+    """The exponent of t^-1 o exp(c(z, p) D) o t, for c in kernel coordinates (Z, P).
 
-    For u = exp(c(z, p) D) and t = (b^2/g x, b y, g z) the conjugate is
+    For t = (b^2/g x, b y, g z) the conjugate is
 
         exp((g/b) * c(g Z, b^2 P) * D),
 
@@ -216,7 +183,7 @@ def torus_conjugate(t: TorusElement, u: UnipotentElement) -> UnipotentElement:
     component i of t^-1 o F o t is (F_i o t) / w_i, with w = t.weights().
     Since z o t = g z and p o t = (b^2/g) x * g z - b^2 y^2 / 2 = b^2 p,
     q = c(z, p) becomes q o t = c(g z, b^2 p) = (b/g) q'.  Read component
-    2 of u = (x + q y + q^2 z/2, y + q z, z): it becomes
+    2 of exp(qD) = (x + q y + q^2 z/2, y + q z, z): it becomes
     (b y + (b/g) q' * g z) / b = y + q' z.  Component 1 becomes
     x + ((b/g) q' * b y + (b/g)^2 q'^2 * g z/2) * g/b^2 = x + q' y + q'^2 z/2,
     and component 3 stays z: the result is exp(q'D).  On the
@@ -224,14 +191,12 @@ def torus_conjugate(t: TorusElement, u: UnipotentElement) -> UnipotentElement:
     c = s Z^(2k) P^(k+1), this rescales the exponent by exactly
     character_lambda(k, t) = (b*g)^(2k+1).
     """
+    if c.dimension != 2:
+        raise DimensionMismatch(
+            f"unipotent exponent must be a kernel polynomial in (Z, P), got dimension {c.dimension}"
+        )
     Z, P = variables(2)
-    c = u.kernel_part().substitute((Z * t.gamma, P * t.beta ** 2))
-    return UnipotentElement(c * (t.gamma / t.beta))
-
-
-def scale_unipotent(a, u: UnipotentElement) -> UnipotentElement:
-    """The vector-space action exp(qD) -> exp(a q D)."""
-    return UnipotentElement(u.q, Fraction(a) * u.scale)
+    return c.substitute((Z * t.gamma, P * t.beta ** 2)) * (t.gamma / t.beta)
 
 
 def lambda_degree(q: Polynomial) -> int:

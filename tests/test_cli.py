@@ -53,6 +53,23 @@ def test_parse_constant_in_a_nonpositive_dimension_exits_3(capsys, dim, text):
     assert err == f"error: dimension must be a positive integer, got {dim}\n"
 
 
+def test_parse_variable_in_dimension_0_exits_3(capsys):
+    code, out, err = run(capsys, "parse", "--dim", "0", "x")
+    assert (code, out) == (3, "")
+    assert err == "error: dimension must be a positive integer, got 0\n"
+
+
+@pytest.mark.parametrize("text, column", [("²", 1), ("1²", 2), ("x^²", 3)])
+def test_parse_superscript_digit_exits_2(capsys, text, column):
+    code, out, err = run(capsys, "parse", text)
+    assert (code, out) == (2, "")
+    assert err == f"parse error: unexpected character '²' (line 1, column {column})\n"
+
+
+def test_parse_decimal_digit_of_another_script(capsys):
+    assert run(capsys, "parse", "٣*x") == (0, "3*x\n", "")
+
+
 def test_parse_power_past_the_term_budget_exits_3(capsys, monkeypatch):
     def refuse(self, exponent):
         raise AssertionError("a power past the budget was computed")
@@ -327,6 +344,14 @@ def test_invert_triangular_word_golden(tmp_path, capsys):
     code, out, _ = run(capsys, "invert", "--word", str(word))
     assert code == 0
     assert out == "(-1 + x + 2*y - y^2, -1 + y, z)\n"
+
+
+def test_invert_triangular_word_in_dimension_0_exits_3(tmp_path, capsys):
+    word = tmp_path / "word.txt"
+    word.write_text("triangular (x)\n")
+    code, out, err = run(capsys, "invert", "--word", str(word), "--dim", "0")
+    assert (code, out) == (3, "")
+    assert err == "error: dimension must be a positive integer, got 0\n"
 
 
 def test_invert_unknown_generator_kind_exits_2(tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cremona3 import (
     ArityMismatch,
+    DimensionMismatch,
     DomainError,
     ParseError,
     Polynomial,
@@ -185,6 +186,23 @@ def test_parse_error_reports_line():
     assert info.value.line == 2
 
 
+@pytest.mark.parametrize("text", ["²", "1²", "x^²"])
+def test_superscript_digits_are_unexpected_characters(text):
+    with pytest.raises(ParseError, match="unexpected character '²'"):
+        parse_polynomial(text)
+
+
+def test_decimal_digits_of_other_scripts_are_integers():
+    assert parse_polynomial("٣*x") == 3 * X
+
+
+def test_dimension_is_checked_before_variable_names():
+    with pytest.raises(DimensionMismatch, match="got 0"):
+        parse_polynomial("x", 0)
+    with pytest.raises(DimensionMismatch, match="got 0"):
+        parse_map("(x)", 0)
+
+
 def test_parse_custom_dimension_names():
     q = parse_polynomial("x1*x4 - x2", 4)
     x1, x2, x3, x4 = variables(4)
@@ -249,3 +267,37 @@ def test_round_trip_other_dimension():
     for _ in range(50):
         p = random_polynomial(rng, dimension=4, max_degree=4)
         assert parse_polynomial(format_polynomial(p), 4) == p
+
+
+def _long_sum():
+    """The 1,771-term (x + 2*y + z/3 + 1)^20 and its formatted text."""
+    p = (X + 2 * Y + Z / 3 + 1) ** 20
+    return p, format_polynomial(p)
+
+
+def test_round_trip_long_sum():
+    p, text = _long_sum()
+    assert len(p.exponents()) == 1771
+    assert parse_polynomial(text) == p
+
+
+def test_one_sum_adds_each_term_once(monkeypatch):
+    # The terms of one +/- chain go into one accumulator: no "+" copies
+    # the running total, so the work is linear in the number of terms.
+    import cremona3.exactpoly as exactpoly
+
+    p, text = _long_sum()
+    added = []
+    original = exactpoly.iadd_scaled_terms
+
+    def counted(acc, src, c):
+        added.append(len(src))
+        original(acc, src, c)
+
+    def refuse(terms, c):
+        raise AssertionError("a sum copied a term map")
+
+    monkeypatch.setattr(exactpoly, "iadd_scaled_terms", counted)
+    monkeypatch.setattr(exactpoly, "scale_terms", refuse)
+    assert parse_polynomial(text) == p
+    assert added == [1] * len(p.exponents())

@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 
 from cremona3 import (
+    DimensionMismatch,
     DomainError,
     NotInKerEKerD,
     NotMonomialInK,
     PolyMap,
     Polynomial,
     TorusElement,
-    UnipotentElement,
     character_lambda,
     commutes,
     commutes_with_weight_scaling,
@@ -22,8 +22,8 @@ from cremona3 import (
     is_in_K,
     k_monomial,
     kernel_coordinates,
+    kernel_shear,
     lambda_degree,
-    scale_unipotent,
     standard_objects,
     torus_conjugate,
     variables,
@@ -139,21 +139,19 @@ def test_torus_map_and_inverse():
 
 def test_torus_conjugate_scales_nagata_exponent_by_six():
     t = TorusElement(Fraction(2), Fraction(3))
-    u = UnipotentElement(k_monomial(0), Fraction(1))
-    conjugated = torus_conjugate(t, u)
-    assert conjugated.kernel_part() == 6 * k_monomial(0)
-    assert conjugated.to_map() == exp_of_kernel(6 * OBJS.p)
+    conjugated = torus_conjugate(t, k_monomial(0))
+    assert conjugated == 6 * k_monomial(0)
+    assert kernel_shear(conjugated) == exp_of_kernel(6 * OBJS.p)
 
 
 def test_torus_conjugate_by_identity_torus():
-    u = UnipotentElement(random_kernel_polynomial(random.Random(1), 3), Fraction(2))
-    assert torus_conjugate(TorusElement(Fraction(1), Fraction(1)), u) == u
+    c = random_kernel_polynomial(random.Random(1), 3) * 2
+    assert torus_conjugate(TorusElement(Fraction(1), Fraction(1)), c) == c
 
 
 def test_torus_conjugate_k1_scales_by_216():
     t = TorusElement(Fraction(2), Fraction(3))
-    u = UnipotentElement(k_monomial(1), Fraction(1))
-    assert torus_conjugate(t, u).kernel_part() == 216 * k_monomial(1)
+    assert torus_conjugate(t, k_monomial(1)) == 216 * k_monomial(1)
 
 
 def test_torus_conjugate_matches_the_composition():
@@ -161,14 +159,14 @@ def test_torus_conjugate_matches_the_composition():
     mixed = 0
     for _ in range(120):
         t = random_torus(rng)
-        u = UnipotentElement(random_kernel_polynomial(rng, 5), random_nonzero_rational(rng))
-        mixed += len(u.q.exponents()) > 1
-        m = compose(t.inverse().to_map(), compose(u.to_map(), t.to_map()))
-        # The second component of t^-1 o u o t is y + q' z.
+        c = random_kernel_polynomial(rng, 5) * random_nonzero_rational(rng)
+        mixed += len(c.exponents()) > 1
+        m = compose(t.inverse().to_map(), compose(kernel_shear(c), t.to_map()))
+        # The second component of t^-1 o exp(qD) o t is y + q' z.
         q_prime = kernel_coordinates((m.components[1] - Y).divided_by_power(2, 1))
-        conjugated = torus_conjugate(t, u)
-        assert conjugated == UnipotentElement(q_prime)
-        assert conjugated.to_map() == m
+        conjugated = torus_conjugate(t, c)
+        assert conjugated == q_prime
+        assert kernel_shear(conjugated) == m
     assert mixed >= 30
 
 
@@ -177,9 +175,7 @@ def test_torus_conjugate_composes_no_map(monkeypatch):
     import cremona3.nagata
 
     rng = random.Random(1210)
-    samples = [
-        (random_torus(rng), UnipotentElement(random_kernel_polynomial(rng, 5))) for _ in range(20)
-    ]
+    samples = [(random_torus(rng), random_kernel_polynomial(rng, 5)) for _ in range(20)]
     counts = []
     for owner, name in (
         (PolyMap, "compose"),
@@ -193,9 +189,16 @@ def test_torus_conjugate_composes_no_map(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(owner, name, counted)
-    for t, u in samples:
-        torus_conjugate(t, u)
+    for t, c in samples:
+        torus_conjugate(t, c)
     assert counts == []
+
+
+def test_torus_conjugate_rejects_exponents_outside_kernel_coordinates():
+    t = TorusElement(Fraction(2), Fraction(3))
+    for c in (OBJS.p, Polynomial.variable(0, 1)):
+        with pytest.raises(DimensionMismatch):
+            torus_conjugate(t, c)
 
 
 def test_character_consistency_on_random_torus_elements():
@@ -203,12 +206,8 @@ def test_character_consistency_on_random_torus_elements():
     for _ in range(50):
         k = rng.randint(0, 3)
         t = random_torus(rng)
-        s = random_nonzero_rational(rng)
-        u = UnipotentElement(k_monomial(k), s)
-        conjugated = torus_conjugate(t, u)
-        expected = UnipotentElement(k_monomial(k), s * character_lambda(k, t))
-        assert conjugated == expected
-        assert conjugated.to_map() == expected.to_map()
+        c = k_monomial(k) * random_nonzero_rational(rng)
+        assert torus_conjugate(t, c) == c * character_lambda(k, t)
 
 
 def test_characters_separate_distinct_indices():
@@ -226,34 +225,18 @@ def test_characters_separate_distinct_indices():
 
 
 # -- scaling the one-parameter subgroup ----------------------------------------------
-
-
-def test_scale_unipotent_by_one_is_identity_action():
-    u = UnipotentElement(k_monomial(0), Fraction(1))
-    assert scale_unipotent(1, u) == u
+# exp(qD) -> exp(a q D) scales the exponent: its map is kernel_shear(a * c).
 
 
 def test_scale_unipotent_by_zero_gives_identity_map():
-    u = UnipotentElement(k_monomial(2), Fraction(5))
-    assert scale_unipotent(0, u).to_map().is_identity()
+    assert kernel_shear(k_monomial(2) * 0).is_identity()
 
 
 def test_scale_unipotent_by_two():
-    u = UnipotentElement(k_monomial(0), Fraction(1))
-    doubled = scale_unipotent(2, u)
     p = OBJS.p
-    assert doubled.to_map() == PolyMap((X + 2 * p * Y + 2 * p ** 2 * Z, Y + 2 * p * Z, Z))
-
-
-def test_scale_unipotent_is_multiplicative():
-    u = UnipotentElement(k_monomial(1), Fraction(3, 2))
-    assert scale_unipotent(2, scale_unipotent(3, u)) == scale_unipotent(6, u)
-
-
-def test_unipotent_equality_ignores_factorization():
-    assert UnipotentElement(2 * k_monomial(0), Fraction(1)) == UnipotentElement(
-        k_monomial(0), Fraction(2)
-    )
+    doubled = kernel_shear(2 * k_monomial(0))
+    assert doubled == PolyMap((X + 2 * p * Y + 2 * p ** 2 * Z, Y + 2 * p * Z, Z))
+    assert doubled == exp_of_kernel(2 * p)
 
 
 # -- lambda degree ----------------------------------------------------------------
