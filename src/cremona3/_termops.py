@@ -16,12 +16,12 @@ A *term map* here is a dict from packed monomials to nonzero ints.  The
 rational layer (``exactpoly``) keeps one positive denominator beside it,
 and ``normalize`` makes such a pair canonical.
 
-The kernels are ``scale_terms``, ``mul_terms``, ``iadd_scaled_terms``
-(sums and differences: scale one side, accumulate the other into it),
-``combine_terms`` (a sum of monomial multiples, as in a closed-form
-shear) and ``derive_terms`` (a derivation applied to a term map).  All
-return canonical maps (no zero coefficients) and do not mutate their
-arguments, except ``iadd_scaled_terms`` whose name says so.
+The kernels are ``scale_terms``, ``mul_terms``, ``pow_terms``,
+``iadd_scaled_terms`` (sums and differences: scale one side, accumulate
+the other into it), ``combine_terms`` (a sum of monomial multiples, as
+in a closed-form shear) and ``derive_terms`` (a derivation applied to a
+term map).  All return canonical maps (no zero coefficients) and do not
+mutate their arguments, except ``iadd_scaled_terms`` whose name says so.
 """
 
 from functools import lru_cache, reduce
@@ -102,6 +102,28 @@ def mul_terms(a, b):
                 acc[e] = get(e, 0) + ca * cb
         out = {e: c for e, c in acc.items() if c}
     _check_exponents(out)
+    return out
+
+
+def pow_terms(a, k):
+    """a ** k by binary powering; ``{0: 1}`` for k = 0.  DomainError on overflow.
+
+    Needs no gcd: by Gauss's lemma the content of a^k is content(a)^k,
+    so a canonical pair (den, a) has the canonical power (den ** k, a ** k).
+    """
+    if len(a) == 1 and k:
+        # A monomial: one key multiplication, once its largest field is checked.
+        ((e, c),) = a.items()
+        if max(unpack(e, -(-e.bit_length() // EXPONENT_BITS)), default=0) * k > MAX_EXPONENT:
+            raise DomainError(f"a product has an exponent above the limit {MAX_EXPONENT}")
+        return {e * k: c**k}
+    out = {0: 1}
+    while k:
+        if k & 1:
+            out = mul_terms(out, a)
+        k >>= 1
+        if k:
+            a = mul_terms(a, a)
     return out
 
 

@@ -13,9 +13,15 @@ must lie in the kernel of a locally nilpotent derivation, scalars must
 be nonzero.  Inversion is defined on words (each generator has a
 closed-form inverse); raw maps are never inverted.  Affine, triangular
 and exponential inverses are built from the validated parts of the
-generator (the affine one from the matrix inverse its validation
-computed, the triangular one from its diagonal and tails) and are never
-validated again.
+generator and are never validated again.
+
+Generators compute on integer pairs like ``Polynomial`` does.  An affine
+generator holds the canonical integer form ``(den, M, t)`` of x -> A x + b
+and its inverse's form; both come from one fraction-free elimination
+(``_matrix_inverse``) at validation, so ``inverse()`` swaps the two forms
+and ``to_map()`` normalizes one pair per row.  A triangular generator
+reads its diagonal and tails off the packed term maps of its components,
+and its inverse substitutes only the non-constant tails.
 """
 
 from __future__ import annotations
@@ -23,11 +29,13 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
+from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from . import grammar
-from ._termops import EXPONENT_BITS
+from ._termops import EXPONENT_BITS, normalize, scale_terms
 from .derivation import DEFAULT_BOUND, Derivation, Nilpotency
 from .errors import DimensionMismatch, InvalidGenerator
 from .exactpoly import Polynomial, _substitute_all
@@ -109,25 +117,43 @@ def parse_poly_map(text: str, dimension: Optional[int] = None) -> PolyMap:
     return PolyMap(grammar.parse_map(text, dimension))
 
 
-# -- exact linear algebra over the rationals ---------------------------
+# -- exact linear algebra over the integers ---------------------------
 
 
-def _matrix_inverse(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Gauss-Jordan elimination; raises InvalidGenerator if singular."""
+def _matrix_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``(d, N)`` with ``N / d`` the inverse of the integer matrix ``rows``.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss, "Sylvester's identity
+    and multistep integer-preserving Gaussian elimination", Math. Comp. 22,
+    1968) on ``[rows | I]``: each step replaces every other row r by
+    ``(p * r - f * pivot_row) / p_prev``, a division that is exact because
+    every entry is a minor of the augmented matrix.  It ends at
+    ``[d*I | N]`` with ``d = +-det``.  Raises InvalidGenerator if singular.
+    """
     n = len(rows)
-    m = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    m = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
+    prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col]), None)
         if pivot is None:
             raise InvalidGenerator("affine matrix is singular")
         m[col], m[pivot] = m[pivot], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [v * inv for v in m[col]]
+        top = m[col]
+        p = top[col]
         for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
+            if r != col:
+                f = m[r][col]
+                m[r] = [(p * a - f * b) // prev for a, b in zip(m[r], top)]
+        prev = p
+    return prev, tuple(tuple(row[n:]) for row in m)
+
+
+def _affine_form(den: int, matrix, shift) -> tuple:
+    """The canonical ``(den, M, t)`` of the map x -> (M x + t) / den, den != 0."""
+    g = gcd(den, *chain.from_iterable(matrix), *shift)
+    if den < 0:
+        g = -g
+    return den // g, tuple(tuple(v // g for v in row) for row in matrix), tuple(v // g for v in shift)
 
 
 # -- generators ---------------------------------------------------------
@@ -140,48 +166,70 @@ class GeneratorShape(Enum):
 
 
 class AffineGenerator:
-    """x -> A x + b with A invertible."""
+    """x -> A x + b with A invertible.
 
-    __slots__ = ("matrix", "translation", "_inverse_matrix")
+    Held as the canonical integer form ``(den, M, t)``: ``A = M / den``,
+    ``b = t / den``, ``den > 0`` and ``gcd(den, every entry) == 1``, so two
+    generators are equal exactly when their forms are.  The inverse's form
+    is computed beside it at validation.  ``matrix`` and ``translation``
+    are the read-only ``Fraction`` views, built when accessed.
+    """
+
+    __slots__ = ("_form", "_inverse_form")
 
     def __init__(self, matrix: Sequence[Sequence], translation: Sequence):
-        matrix = tuple(tuple(Fraction(v) for v in row) for row in matrix)
-        translation = tuple(Fraction(v) for v in translation)
-        n = len(matrix)
-        if n == 0 or any(len(row) != n for row in matrix) or len(translation) != n:
+        rows = [[Fraction(v) for v in row] for row in matrix]
+        shift = [Fraction(v) for v in translation]
+        n = len(rows)
+        if n == 0 or any(len(row) != n for row in rows) or len(shift) != n:
             raise InvalidGenerator("affine generator needs a square matrix and a matching vector")
-        self._inverse_matrix = _matrix_inverse(matrix)
-        self.matrix = matrix
-        self.translation = translation
+        # Ints and reduced Fractions: over their lcm the form is canonical.
+        den = lcm(*(v.denominator for v in chain(*rows, shift)))
+        m = tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in rows)
+        t = tuple(v.numerator * (den // v.denominator) for v in shift)
+        # M^-1 = adj / d, so A^-1 = den * adj / d and -A^-1 b = -adj t / d.
+        d, adj = _matrix_inverse(m)
+        self._form = (den, m, t)
+        self._inverse_form = _affine_form(
+            d,
+            [[den * v for v in row] for row in adj],
+            [-sum(a * b for a, b in zip(row, t)) for row in adj],
+        )
 
     @property
     def dimension(self) -> int:
-        return len(self.matrix)
+        return len(self._form[1])
+
+    @property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        den, m, _ = self._form
+        return tuple(tuple(Fraction(v, den) for v in row) for row in m)
+
+    @property
+    def translation(self) -> tuple[Fraction, ...]:
+        den, _, t = self._form
+        return tuple(Fraction(v, den) for v in t)
 
     def to_map(self) -> PolyMap:
-        # A row's monomials are distinct: over its lcm the pair is canonical.
-        keys = (0, *(1 << (EXPONENT_BITS * j) for j in range(self.dimension)))
-        components = []
-        for row, b in zip(self.matrix, self.translation):
-            den = lcm(b.denominator, *(a.denominator for a in row))
-            terms = {k: c.numerator * (den // c.denominator) for k, c in zip(keys, (b, *row)) if c}
-            components.append(Polynomial._make(self.dimension, den, terms))
-        return PolyMap(components)
+        den, m, t = self._form
+        keys = (0, *(1 << (EXPONENT_BITS * j) for j in range(len(m))))
+        return PolyMap(
+            [
+                Polynomial._make(len(m), *normalize(den, {k: c for k, c in zip(keys, (b, *row)) if c}))
+                for row, b in zip(m, t)
+            ]
+        )
 
     def inverse(self) -> "AffineGenerator":
-        # x -> A^-1 (x - b); A^-1 was computed at validation and its own
-        # inverse is A, so nothing is eliminated or re-validated here.
+        # x -> A^-1 (x - b): its form was computed at validation, and its
+        # own inverse is this form, so nothing is eliminated here.
         inv = AffineGenerator.__new__(AffineGenerator)
-        inv.matrix, inv._inverse_matrix = self._inverse_matrix, self.matrix
-        inv.translation = tuple(
-            -sum((a * b for a, b in zip(row, self.translation)), Fraction(0))
-            for row in self._inverse_matrix
-        )
+        inv._form, inv._inverse_form = self._inverse_form, self._form
         return inv
 
     def __eq__(self, other):
         if isinstance(other, AffineGenerator):
-            return self.matrix == other.matrix and self.translation == other.translation
+            return self._form == other._form
         return NotImplemented
 
     def __repr__(self):
@@ -203,17 +251,18 @@ class TriangularGenerator:
                 raise DimensionMismatch(
                     f"component dimension {comp.dimension} != generator dimension {n}"
                 )
-            xi = Polynomial.variable(i, n)
-            ci = comp.coefficient(tuple(1 if j == i else 0 for j in range(n)))
+            unit = 1 << (EXPONENT_BITS * i)
+            ci = comp._terms.get(unit)
             if not ci:
                 raise InvalidGenerator(f"component {i} has no x_{i + 1} term")
-            tail = comp - xi * ci
-            if not tail.depends_only_on(range(i + 1, n)):
+            tail = {k: c for k, c in comp._terms.items() if k != unit}
+            # No field of x_1..x_i may be set in the tail's monomials.
+            if reduce(or_, tail, 0) & ((unit << EXPONENT_BITS) - 1):
                 raise InvalidGenerator(
                     f"component {i} must depend on x_{i + 1} linearly and otherwise only on later variables"
                 )
-            diagonal.append(ci)
-            tails.append(tail)
+            diagonal.append(Fraction(ci, comp._den))
+            tails.append(Polynomial._make(n, *normalize(comp._den, tail)))
         self.components = components
         self._diagonal = tuple(diagonal)
         self._tails = tuple(tails)
@@ -231,12 +280,20 @@ class TriangularGenerator:
         n = self.dimension
         xs = [Polynomial.variable(i, n) for i in range(n)]
         inv = TriangularGenerator.__new__(TriangularGenerator)
-        inv._diagonal = tuple(Fraction(1) / c for c in self._diagonal)
+        inv._diagonal = tuple(1 / c for c in self._diagonal)
         components, tails = list(xs), list(xs)
         for i in range(n - 1, -1, -1):
-            images = xs[: i + 1] + components[i + 1 :]
-            tails[i] = -(self._tails[i].substitute(images) * inv._diagonal[i])
-            components[i] = xs[i] * inv._diagonal[i] + tails[i]
+            tail, d = self._tails[i], inv._diagonal[i]
+            if not tail.is_constant():
+                tail = _substitute_all((tail,), xs[: i + 1] + components[i + 1 :])[0]
+            den, terms = normalize(tail._den * d.denominator, scale_terms(tail._terms, -d.numerator))
+            tails[i] = Polynomial._make(n, den, terms)
+            # The tail has no x_i term: adding d*x_i is one key, and over the
+            # lcm the pair stays canonical (as for Polynomial's constructor).
+            common = lcm(den, d.denominator)
+            terms = scale_terms(terms, common // den)
+            terms[1 << (EXPONENT_BITS * i)] = d.numerator * (common // d.denominator)
+            components[i] = Polynomial._make(n, common, terms)
         inv.components, inv._tails = tuple(components), tuple(tails)
         return inv
 

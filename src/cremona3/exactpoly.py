@@ -35,6 +35,7 @@ from ._termops import (
     mul_terms,
     normalize,
     pack,
+    pow_terms,
     scale_terms,
     unpack,
 )
@@ -231,20 +232,10 @@ class Polynomial:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
-        # Powers of one canonical polynomial need no gcd: by Gauss's lemma
-        # the content of P^k is content(P)^k, coprime to den^k.
-        den, terms = 1, {0: 1}
-        base_den, base = self._den, self._terms
-        k = exponent
-        while k:
-            if k & 1:
-                terms = mul_terms(terms, base)
-                den *= base_den
-            k >>= 1
-            if k:
-                base = mul_terms(base, base)
-                base_den *= base_den
-        return Polynomial._make(self._dimension, den, terms)
+        # The terms first: they raise DomainError on an exponent overflow
+        # before the denominator's power is computed.
+        terms = pow_terms(self._terms, exponent)
+        return Polynomial._make(self._dimension, self._den**exponent, terms)
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
@@ -407,22 +398,6 @@ def _derive(f: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
     scaled = [(shift, im._terms, common // im._den) for shift, im in used]
     terms = derive_terms(f._terms, scaled)
     return Polynomial._make(f._dimension, *normalize(f._den * common, terms))
-
-
-def _signed_sum(parts: Sequence[tuple[int, Polynomial]]) -> Polynomial:
-    """sum of sign * p over ``parts`` = [(sign, p)], all in one dimension.
-
-    One accumulator over the lcm of the denominators, normalized once, so
-    a long sum costs one pass over its terms; a lone positive part comes
-    back as is.
-    """
-    if len(parts) == 1 and parts[0][0] == 1:
-        return parts[0][1]
-    common = lcm(*{p._den for _, p in parts})
-    acc: dict = {}
-    for sign, p in parts:
-        iadd_scaled_terms(acc, p._terms, sign * (common // p._den))
-    return Polynomial._make(parts[0][1]._dimension, *normalize(common, acc))
 
 
 def _check_dimension(dimension) -> None:

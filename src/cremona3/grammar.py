@@ -15,23 +15,42 @@ ascending total degree; within one degree the lexicographically larger
 exponent vector (first variable weighs most) prints first, which matches
 how the exponential maps are usually written: linear part first, higher
 corrections after.
+
+The parser computes on integer pairs ``(den, term map)`` with the
+``_termops`` kernels: products and powers are ``mul_terms`` and
+``pow_terms``, a ``+``/``-`` chain is summed into one accumulator, and
+each parsed polynomial (or map component) is normalized once into one
+``Polynomial``.  Three budgets, checked before the work they bound,
+raise ``DomainError``: ``MAX_POWER_TERMS`` on powers,
+``MAX_PRODUCT_PAIRS`` on products and ``MAX_NESTING`` on parentheses and
+unary minus.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
+from ._termops import EXPONENT_BITS, iadd_scaled_terms, mul_terms, normalize, pow_terms, scale_terms
 from .errors import ArityMismatch, DomainError, ParseError, UnknownVariable
-from .exactpoly import Polynomial, _check_dimension, _signed_sum, default_variable_names
+from .exactpoly import Polynomial, _check_dimension, default_variable_names
 
 _OPERATORS = set("+-*^/(),")
 
 #: Term budget of a parsed power: ``base^k`` of a ``t``-term base has at most
 #: C(t + k - 1, k) terms, and a power whose bound exceeds it raises DomainError.
 MAX_POWER_TERMS = 1000
+
+#: Pair budget of a parsed product: ``a*b`` of a ``s``-term and a ``t``-term
+#: factor costs ``s * t`` term pairs, and a product past it raises DomainError.
+MAX_PRODUCT_PAIRS = 100_000
+
+#: Nesting budget: parentheses and unary minus nested deeper raise
+#: DomainError.  Each level costs the parser at most four stack frames, so
+#: the budget stays far below the interpreter's default recursion limit.
+MAX_NESTING = 100
 
 
 class _Token:
@@ -107,11 +126,17 @@ def _int_value(tok: _Token) -> int:
 
 
 class _Parser:
+    """Recursive descent over the tokens; every value is a pair
+    ``(den, term map)`` meaning terms / den.  Pairs need not be canonical
+    on the way: only the base of a power is reduced, and ``polynomial``
+    normalizes each parsed result once."""
+
     def __init__(self, tokens: list[_Token], names: Sequence[str], dimension: int):
         self.tokens = tokens
         self.pos = 0
         self.names = {name: i for i, name in enumerate(names)}
         self.dimension = dimension
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -129,63 +154,99 @@ class _Parser:
             )
         return self.advance()
 
-    def parse_expr(self) -> Polynomial:
-        parts = [(1, self.parse_term())]
+    def nest(self, tok: _Token) -> None:
+        # Each "(" or unary "-" recurses; refuse before the interpreter's stack would run out.
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise DomainError(
+                f"parentheses and unary minus nested deeper than {MAX_NESTING} "
+                f"(line {tok.line}, column {tok.column})"
+            )
+
+    def parse_expr(self) -> tuple[int, dict]:
+        value = self.parse_term()
+        if self.peek().kind not in ("+", "-"):
+            return value
+        parts = [(1, value)]
         while self.peek().kind in ("+", "-"):
             sign = 1 if self.advance().kind == "+" else -1
             parts.append((sign, self.parse_term()))
-        return _signed_sum(parts)
+        # One accumulator over the lcm of the denominators: a long sum
+        # adds each term once.
+        common = lcm(*{den for _, (den, _) in parts})
+        acc: dict = {}
+        for sign, (den, terms) in parts:
+            iadd_scaled_terms(acc, terms, sign * (common // den))
+        return common, acc
 
-    def parse_term(self) -> Polynomial:
-        value = self.parse_factor()
+    def parse_term(self) -> tuple[int, dict]:
+        den, terms = self.parse_factor()
         while self.peek().kind == "*":
             self.advance()
-            value = value * self.parse_factor()
-        return value
+            other_den, other = self.parse_factor()
+            if len(terms) * len(other) > MAX_PRODUCT_PAIRS:
+                raise DomainError(
+                    f"a product of {len(terms)} and {len(other)} terms exceeds the "
+                    f"pair budget {MAX_PRODUCT_PAIRS}"
+                )
+            den, terms = den * other_den, mul_terms(terms, other)
+        return den, terms
 
-    def parse_factor(self) -> Polynomial:
+    def parse_factor(self) -> tuple[int, dict]:
         if self.peek().kind == "-":
-            self.advance()
-            return -self.parse_factor()
-        value = self.parse_base()
+            self.nest(self.advance())
+            den, terms = self.parse_factor()
+            self.depth -= 1
+            return den, scale_terms(terms, -1)
+        den, terms = self.parse_base()
         if self.peek().kind == "^":
             self.advance()
             k = _int_value(self.expect("int"))
-            t = len(value.exponents())
+            t = len(terms)
             if t > 1 and (k >= MAX_POWER_TERMS or comb(t + k - 1, k) > MAX_POWER_TERMS):
                 raise DomainError(f"{t}-term base to the power {k} exceeds the term budget {MAX_POWER_TERMS}")
-            value = value ** k
-        return value
+            # Reduce the base first: an unreduced pair such as (2/2)^k would
+            # carry 2^k over 2^k.  The terms go first, so that an exponent
+            # overflow raises before the denominator's power is computed.
+            den, terms = normalize(den, terms)
+            terms = pow_terms(terms, k)
+            den **= k
+        return den, terms
 
-    def parse_base(self) -> Polynomial:
+    def parse_base(self) -> tuple[int, dict]:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            value = Fraction(_int_value(tok))
+            value = _int_value(tok)
+            den = 1
             if self.peek().kind == "/":
                 self.advance()
                 den_tok = self.expect("int")
                 den = _int_value(den_tok)
                 if den == 0:
                     raise ParseError("denominator must be positive", den_tok.line, den_tok.column)
-                value = Fraction(value, den)
-            return Polynomial.constant(self.dimension, value)
+            return den, {0: value} if value else {}
         if tok.kind == "name":
             self.advance()
             index = self.names.get(tok.text)
             if index is None:
                 raise UnknownVariable(f"unknown variable {tok.text!r}", tok.line, tok.column)
-            return Polynomial.variable(index, self.dimension)
+            return 1, {1 << (EXPONENT_BITS * index): 1}
         if tok.kind == "(":
-            self.advance()
+            self.nest(self.advance())
             value = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return value
         raise ParseError(
             f"expected a rational, a variable or '(', found {tok.text or 'end of input'!r}",
             tok.line,
             tok.column,
         )
+
+    def polynomial(self) -> Polynomial:
+        """The next expression as a polynomial: one normalize, one ``_make``."""
+        return Polynomial._make(self.dimension, *normalize(*self.parse_expr()))
 
 
 def parse_polynomial(
@@ -196,7 +257,7 @@ def parse_polynomial(
     if names is None:
         names = default_variable_names(dimension)
     parser = _Parser(_tokenize(text), names, dimension)
-    value = parser.parse_expr()
+    value = parser.polynomial()
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError(f"unexpected {tok.text!r} after expression", tok.line, tok.column)
@@ -205,10 +266,10 @@ def parse_polynomial(
 
 def _split_components(parser: _Parser) -> list[Polynomial]:
     parser.expect("(")
-    components = [parser.parse_expr()]
+    components = [parser.polynomial()]
     while parser.peek().kind == ",":
         parser.advance()
-        components.append(parser.parse_expr())
+        components.append(parser.polynomial())
     parser.expect(")")
     tok = parser.peek()
     if tok.kind != "end":

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+from ._termops import normalize, pack
 from .autgroup import (
     AffineGenerator,
     AutWord,
@@ -85,8 +86,14 @@ QUICK = Profile(
 # -- samplers ------------------------------------------------------------
 
 
+def _random_sixths(rng: random.Random, magnitude: int) -> int:
+    """The numerator over 6 of a random rational: every sampled
+    denominator is 1, 2 or 3, so 6 clears them all."""
+    return rng.randint(-magnitude, magnitude) * (6 // rng.choice((1, 1, 1, 2, 3)))
+
+
 def random_rational(rng: random.Random, magnitude: int = 4) -> Fraction:
-    return Fraction(rng.randint(-magnitude, magnitude), rng.choice((1, 1, 1, 2, 3)))
+    return Fraction(_random_sixths(rng, magnitude), 6)
 
 
 def random_nonzero_rational(rng: random.Random, magnitude: int = 4) -> Fraction:
@@ -96,34 +103,40 @@ def random_nonzero_rational(rng: random.Random, magnitude: int = 4) -> Fraction:
             return value
 
 
+def _sixths_polynomial(dimension: int, sixths: dict) -> Polynomial:
+    # ``sixths`` maps packed monomials to numerators over 6.
+    return Polynomial._make(dimension, *normalize(6, {k: c for k, c in sixths.items() if c}))
+
+
 def random_polynomial(
     rng: random.Random, dimension: int = 3, max_degree: int = 6, max_terms: int = 6
 ) -> Polynomial:
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
         while True:
-            exps = tuple(rng.randint(0, max_degree) for _ in range(dimension))
+            exps = [rng.randint(0, max_degree) for _ in range(dimension)]
             if sum(exps) <= max_degree:
                 break
-        terms[exps] = terms.get(exps, Fraction(0)) + random_rational(rng)
-    return Polynomial(dimension, terms)
+        key = pack(exps)
+        terms[key] = terms.get(key, 0) + _random_sixths(rng, 4)
+    return _sixths_polynomial(dimension, terms)
 
 
 def random_z_polynomial(rng: random.Random, max_degree: int = 4) -> Polynomial:
     terms = {}
     for _ in range(rng.randint(0, 3)):
-        exps = (0, 0, rng.randint(0, max_degree))
-        terms[exps] = terms.get(exps, Fraction(0)) + random_rational(rng)
-    return Polynomial(3, terms)
+        key = pack((0, 0, rng.randint(0, max_degree)))
+        terms[key] = terms.get(key, 0) + _random_sixths(rng, 4)
+    return _sixths_polynomial(3, terms)
 
 
 def random_kernel_polynomial(rng: random.Random, max_degree: int = 3) -> Polynomial:
     terms = {}
     for _ in range(rng.randint(0, 3)):
         a = rng.randint(0, max_degree)
-        b = rng.randint(0, max_degree - a)
-        terms[(a, b)] = terms.get((a, b), Fraction(0)) + random_rational(rng, 3)
-    return Polynomial(2, terms)
+        key = pack((a, rng.randint(0, max_degree - a)))
+        terms[key] = terms.get(key, 0) + _random_sixths(rng, 3)
+    return _sixths_polynomial(2, terms)
 
 
 _ALPHAS = (
@@ -151,11 +164,9 @@ def random_torus(rng: random.Random) -> TorusElement:
 
 def random_affine_generator(rng: random.Random, dimension: int = 3) -> AffineGenerator:
     while True:
-        matrix = [
-            [Fraction(rng.randint(-2, 2)) for _ in range(dimension)] for _ in range(dimension)
-        ]
+        matrix = [[rng.randint(-2, 2) for _ in range(dimension)] for _ in range(dimension)]
         try:
-            return AffineGenerator(matrix, [Fraction(rng.randint(-2, 2)) for _ in range(dimension)])
+            return AffineGenerator(matrix, [rng.randint(-2, 2) for _ in range(dimension)])
         except InvalidGenerator:
             continue
 
@@ -171,7 +182,8 @@ def random_triangular_generator(
         tail_degrees = [rng.randint(0, max_tail_degree) for _ in range(dimension - 1)] + [0]
     components = []
     for i in range(dimension):
-        comp = Polynomial.variable(i, dimension) * rng.choice((1, -1, 2, Fraction(1, 2)))
+        # Diagonal 1, -1, 2 or 1/2, in sixths; the tail keys never meet x_i's.
+        terms = {pack([int(j == i) for j in range(dimension)]): rng.choice((6, -6, 12, 3))}
         cap = tail_degrees[i] if i < dimension - 1 else 0
         for _ in range(rng.randint(0, 2)):
             exps = [0] * dimension
@@ -179,8 +191,9 @@ def random_triangular_generator(
             for j in range(i + 1, dimension):
                 exps[j] = rng.randint(0, budget)
                 budget -= exps[j]
-            comp = comp + Polynomial(dimension, {tuple(exps): random_rational(rng, 2)})
-        components.append(comp)
+            key = pack(exps)
+            terms[key] = terms.get(key, 0) + _random_sixths(rng, 2)
+        components.append(_sixths_polynomial(dimension, terms))
     return TriangularGenerator(components)
 
 

@@ -6,7 +6,7 @@ import time
 import pytest
 
 import cremona3.cli
-from cremona3 import Polynomial
+from cremona3 import grammar
 from cremona3._termops import MAX_EXPONENT
 from cremona3.cli import main
 
@@ -71,13 +71,28 @@ def test_parse_decimal_digit_of_another_script(capsys):
 
 
 def test_parse_power_past_the_term_budget_exits_3(capsys, monkeypatch):
-    def refuse(self, exponent):
+    def refuse(terms, exponent):
         raise AssertionError("a power past the budget was computed")
 
-    monkeypatch.setattr(Polynomial, "__pow__", refuse)
+    monkeypatch.setattr(grammar, "pow_terms", refuse)
     code, out, err = run(capsys, "parse", "(x+y+z)^100000")
     assert (code, out) == (3, "")
     assert err == "error: 3-term base to the power 100000 exceeds the term budget 1000\n"
+
+
+@pytest.mark.parametrize("text", ["(" * 400 + "x" + ")" * 400, "-" * 1000 + "x"])
+def test_parse_nesting_past_the_budget_exits_3(capsys, text):
+    code, out, err = run(capsys, "parse", "--", text)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: parentheses and unary minus nested deeper than 100 (line 1, column ")
+
+
+def test_parse_product_past_the_pair_budget_exits_3_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "parse", "(x+y+z)^43*(x+y+z)^43")
+    assert (code, out) == (3, "")
+    assert err == "error: a product of 990 and 990 terms exceeds the pair budget 100000\n"
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("text", ["{n}*x", "x^{n}", "1/{n}", "(9999999999*x)^500"])

@@ -22,7 +22,8 @@ from cremona3 import (
     parse_polynomial,
     variables,
 )
-from cremona3.grammar import MAX_POWER_TERMS
+from cremona3 import grammar
+from cremona3.grammar import MAX_NESTING, MAX_POWER_TERMS, MAX_PRODUCT_PAIRS
 from cremona3.verify import random_polynomial
 from test_exactpoly import polynomials
 
@@ -122,10 +123,10 @@ def test_rational_base_with_exponent():
 
 
 def test_power_past_the_term_budget_raises_before_computing(monkeypatch):
-    def refuse(self, exponent):
+    def refuse(terms, exponent):
         raise AssertionError("a power past the budget was computed")
 
-    monkeypatch.setattr(Polynomial, "__pow__", refuse)
+    monkeypatch.setattr(grammar, "pow_terms", refuse)
     for text in (
         "(x+y+z)^100000",
         "(x + y)^1000",  # C(1001, 1000) = 1001 terms
@@ -284,11 +285,9 @@ def test_round_trip_long_sum():
 def test_one_sum_adds_each_term_once(monkeypatch):
     # The terms of one +/- chain go into one accumulator: no "+" copies
     # the running total, so the work is linear in the number of terms.
-    import cremona3.exactpoly as exactpoly
-
     p, text = _long_sum()
     added = []
-    original = exactpoly.iadd_scaled_terms
+    original = grammar.iadd_scaled_terms
 
     def counted(acc, src, c):
         added.append(len(src))
@@ -297,7 +296,100 @@ def test_one_sum_adds_each_term_once(monkeypatch):
     def refuse(terms, c):
         raise AssertionError("a sum copied a term map")
 
-    monkeypatch.setattr(exactpoly, "iadd_scaled_terms", counted)
-    monkeypatch.setattr(exactpoly, "scale_terms", refuse)
+    monkeypatch.setattr(grammar, "iadd_scaled_terms", counted)
+    monkeypatch.setattr(grammar, "scale_terms", refuse)
     assert parse_polynomial(text) == p
     assert added == [1] * len(p.exponents())
+
+
+def test_parsing_builds_one_polynomial_per_value(monkeypatch):
+    # Parser values are integer pairs: one Polynomial per parsed
+    # polynomial, and one per map component.
+    p, text = _long_sum()
+    made = []
+    original = Polynomial._make.__func__
+
+    def counted(cls, dimension, den, terms):
+        made.append(dimension)
+        return original(cls, dimension, den, terms)
+
+    monkeypatch.setattr(Polynomial, "_make", classmethod(counted))
+    got = parse_polynomial(text)
+    assert len(made) == 1
+    made.clear()
+    parse_polynomial("-(1/2*x + y)^3*(x - 2/3) + 6/4*z*(y - -x)^2 - 3/3")
+    assert len(made) == 1
+    made.clear()
+    components = parse_map("(x*z - 1/2*y^2, -(y + 1)^2, 2/4*z)")
+    assert len(made) == 3
+    monkeypatch.undo()
+    assert got == p
+    assert components == (P, -(Y + 1) ** 2, Z / 2)
+
+
+def test_parsed_values_are_canonical():
+    # Intermediate pairs need not be reduced; the parsed polynomial is, and
+    # Polynomial equality compares the canonical pairs exactly.
+    for text, want in (
+        ("2/4*x + 2/4*y", (X + Y) / 2),
+        ("(2/2*x)^5", X ** 5),
+        ("6/4 - 1/2", Polynomial.one(3)),
+        ("3/6*(2*x - 2*x)", Polynomial.zero(3)),
+        ("(4/6)^3*y", Fraction(8, 27) * Y),
+    ):
+        assert parse_polynomial(text) == want
+
+
+def test_a_power_base_is_reduced_first(monkeypatch):
+    # Unreduced, (2/2)^k would carry 2^k over 2^k, and (1/2*x - 1/2*x)^k a denominator 2^k.
+    bases = []
+    original = grammar.pow_terms
+
+    def recorded(terms, k):
+        bases.append(terms)
+        return original(terms, k)
+
+    monkeypatch.setattr(grammar, "pow_terms", recorded)
+    assert parse_polynomial("(2/2)^100000 + (1/2*x - 1/2*x)^100000 - (4/6*y)^2") == 1 - Fraction(4, 9) * Y ** 2
+    assert bases == [{0: 1}, {}, {1 << 21: 2}]
+
+
+# -- budgets on nesting and products -------------------------------------------
+
+
+def test_nesting_past_the_budget_raises_domain_error():
+    assert MAX_NESTING < sys.getrecursionlimit() // 8
+    for text in ("(" * 400 + "x" + ")" * 400, "-" * 1000 + "x", "(-" * 60 + "x" + ")" * 60):
+        with pytest.raises(DomainError, match=f"nested deeper than {MAX_NESTING}"):
+            parse_polynomial(text)
+    with pytest.raises(DomainError, match="nested deeper"):
+        parse_map("(x, " + "(" * 400 + "y" + ")" * 400 + ", z)")
+
+
+def test_nesting_at_the_budget_parses():
+    assert parse_polynomial("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == X
+    assert parse_polynomial("-" * MAX_NESTING + "x") == X
+    assert parse_polynomial("-" * (MAX_NESTING - 1) + "x") == -X
+    half = MAX_NESTING // 2
+    assert parse_polynomial("(-" * half + "y" + ")" * half) == Y
+    # Depth is nesting, not a count: siblings do not add up.
+    assert parse_polynomial(" + ".join(["(" * MAX_NESTING + "z" + ")" * MAX_NESTING] * 3)) == 3 * Z
+
+
+def test_product_past_the_pair_budget_raises_before_multiplying(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("a product past the budget was multiplied")
+
+    # The powers are computed by pow_terms; only the product is refused.
+    monkeypatch.setattr(grammar, "mul_terms", refuse)
+    assert 990 * 990 > MAX_PRODUCT_PAIRS
+    with pytest.raises(DomainError, match=f"990 and 990 terms exceeds the pair budget {MAX_PRODUCT_PAIRS}"):
+        parse_polynomial("(x+y+z)^43*(x+y+z)^43")
+
+
+def test_products_within_the_pair_budget_are_computed():
+    s = X + Y + Z
+    assert parse_polynomial("(x+y+z)^10*(x+y+z)^10") == s ** 20
+    assert parse_polynomial("2*(x+y+z)^43") == 2 * s ** 43
+    m = parse_map(format_map((s ** 10, P * s ** 3, Z)))
+    assert m == (s ** 10, P * s ** 3, Z)

@@ -7,15 +7,19 @@ Coefficients include large coprime denominators, and some results have
 content that cancels down to denominator 1.
 """
 
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cremona3 import (
+    AffineGenerator,
     Derivation,
     DomainError,
+    InvalidGenerator,
     PolyMap,
     Polynomial,
     kernel_coordinates,
@@ -24,6 +28,7 @@ from cremona3 import (
 from cremona3._termops import MAX_EXPONENT
 
 sympy_rings = pytest.importorskip("sympy.polys.rings")
+from sympy import Matrix, Rational  # noqa: E402
 from sympy.polys.domains import QQ  # noqa: E402
 
 R, SX, SY, SZ = sympy_rings.ring("x,y,z", QQ)
@@ -216,3 +221,77 @@ def _without(index):
     gens = [Polynomial.variable(i, 3) for i in range(3)]
     gens[index] = Polynomial.zero(3)
     return gens
+
+
+# -- affine generators: the integer elimination against sympy's Matrix.inv -----
+
+
+def _seeded_rational_matrices():
+    """Dense and sparse rational matrices, n = 1..4, with and without
+    large denominators; rank-deficient ones by a repeated or combined row."""
+    rng = random.Random(1968)
+    for n in range(1, 5):
+        for density in (1.0, 0.5):
+            for trial in range(25):
+                dens = (1, 2, 3, 7) if trial % 3 else (1, 10**9 + 7, 2**61 - 1)
+                rows = [
+                    [
+                        Fraction(rng.randint(-6, 6), rng.choice(dens)) if rng.random() < density else Fraction(0)
+                        for _ in range(n)
+                    ]
+                    for _ in range(n)
+                ]
+                if n > 1 and trial % 5 == 0:
+                    i, j = rng.sample(range(n), 2)
+                    c = Fraction(rng.randint(-3, 3), rng.choice(dens))
+                    rows[i] = [c * v for v in rows[j]]
+                shift = [Fraction(rng.randint(-4, 4), rng.choice(dens)) for _ in range(n)]
+                yield rows, shift
+
+
+def _sympy_matrix(rows):
+    return Matrix([[Rational(v.numerator, v.denominator) for v in row] for row in rows])
+
+
+def _fractions(m):
+    return tuple(tuple(Fraction(int(v.p), int(v.q)) for v in m.row(i)) for i in range(m.rows))
+
+
+def test_affine_inverse_matches_sympy():
+    singular = regular = 0
+    for rows, shift in _seeded_rational_matrices():
+        a = _sympy_matrix(rows)
+        if a.det() == 0:
+            singular += 1
+            with pytest.raises(InvalidGenerator, match="affine matrix is singular"):
+                AffineGenerator(rows, shift)
+            continue
+        regular += 1
+        inv = AffineGenerator(rows, shift).inverse()
+        a_inv = a.inv()
+        b = Matrix([Rational(v.numerator, v.denominator) for v in shift])
+        assert inv.matrix == _fractions(a_inv)
+        assert inv.translation == tuple(row[0] for row in _fractions(-a_inv * b))
+        assert all(type(v) is Fraction for v in (*sum(inv.matrix, ()), *inv.translation))
+    assert singular >= 20 and regular >= 100
+
+
+def test_affine_entries_of_equal_value_give_equal_generators():
+    for rows, shift in _seeded_rational_matrices():
+        if _sympy_matrix(rows).det() == 0:
+            continue
+        # The same entries as Fractions, as strings, and unreduced.
+        as_fractions = AffineGenerator(rows, shift)
+        as_strings = AffineGenerator([[str(v) for v in row] for row in rows], [str(v) for v in shift])
+        unreduced = [[Fraction(3 * v.numerator, 3 * v.denominator) for v in row] for row in rows]
+        assert as_strings == as_fractions == AffineGenerator(unreduced, shift)
+        assert as_strings.inverse() == as_fractions.inverse()
+        # Integer entries: the matrix scaled to clear its denominators.
+        den = lcm(*(v.denominator for v in (*sum(rows, []), *shift)))
+        int_rows = [[int(v * den) for v in row] for row in rows]
+        int_shift = [int(v * den) for v in shift]
+        as_ints = AffineGenerator(int_rows, int_shift)
+        as_int_fractions = AffineGenerator([[Fraction(v) for v in row] for row in int_rows], int_shift)
+        as_int_strings = AffineGenerator([[str(v) for v in row] for row in int_rows], [str(v) for v in int_shift])
+        assert as_ints == as_int_fractions == as_int_strings
+        assert as_ints.inverse() == as_int_fractions.inverse()

@@ -19,10 +19,11 @@ from cremona3._termops import (
     mul_terms,
     normalize,
     pack,
+    pow_terms,
     scale_terms,
     unpack,
 )
-from oracle import normalize as o_normalize, o_add, o_mul, o_partial
+from oracle import normalize as o_normalize, o_add, o_mul, o_partial, o_pow
 
 DIMENSION = 3
 ONE = (0,) * DIMENSION
@@ -168,6 +169,37 @@ def test_derive_terms_past_the_guard_raises():
     }
     with pytest.raises(DomainError):
         derive_terms({top: 1}, ((0, {pack((2, 0, 0)): 1}, 1),))
+
+
+def test_pow_terms_matches_oracle():
+    # Monomials (the one-key path) and sums, including cancelling pairs.
+    rng = random.Random("termops:pow_terms")
+    for _ in range(300):
+        a, _ = _random_pair(rng)
+        if rng.random() < 0.4:
+            a = dict(list(a.items())[:1])
+        if any(max(e) > 2 for e in a):
+            continue
+        k = rng.randint(0, 4 if len(a) > 1 else 40)
+        got = pow_terms(_packed(a), k)
+        assert _unpacked(got) == o_normalize(o_pow(_as_oracle(a), k, DIMENSION))
+        assert all(type(c) is int for c in got.values())
+
+
+def test_pow_terms_past_the_guard_raises():
+    for exps in ((1, 0, 0), (0, 3, 1), (0, 0, 7)):
+        k = MAX_EXPONENT // max(exps)
+        assert _unpacked(pow_terms({pack(exps): -1}, k)) == {tuple(e * k for e in exps): (-1) ** k}
+        with pytest.raises(DomainError, match="exponent above the limit"):
+            pow_terms({pack(exps): -1}, k + 1)
+    # A sum overflows in the product that passes the limit.
+    with pytest.raises(DomainError, match="exponent above the limit"):
+        pow_terms({pack((MAX_EXPONENT // 2 + 1, 0, 0)): 1, 0: 1}, 2)
+    # An exponent that overflows by far is refused before any coefficient grows.
+    with pytest.raises(DomainError, match="exponent above the limit"):
+        pow_terms({pack((1, 0, 0)): 3}, 10**100)
+    assert pow_terms({}, 0) == {0: 1} and pow_terms({}, 3) == {}
+    assert pow_terms({0: 5}, 3) == {0: 125}
 
 
 def test_pack_round_trips_and_multiplies_by_addition():
