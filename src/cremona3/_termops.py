@@ -106,17 +106,18 @@ def mul_terms(a, b):
 
 
 def pow_terms(a, k):
-    """a ** k by binary powering; ``{0: 1}`` for k = 0.  DomainError on overflow.
+    """a ** k by binary powering; ``{0: 1}`` for k = 0.
 
     Needs no gcd: by Gauss's lemma the content of a^k is content(a)^k,
     so a canonical pair (den, a) has the canonical power (den ** k, a ** k).
+    The largest exponent of a variable in a^k is k times its largest in
+    a, so an overflow raises DomainError before any product is computed
+    (the squarings up to the overflow would grow the coefficients).
     """
-    if len(a) == 1 and k:
-        # A monomial: one key multiplication, once its largest field is checked.
-        ((e, c),) = a.items()
-        if max(unpack(e, -(-e.bit_length() // EXPONENT_BITS)), default=0) * k > MAX_EXPONENT:
-            raise DomainError(f"a product has an exponent above the limit {MAX_EXPONENT}")
-        return {e * k: c**k}
+    bits = reduce(or_, a, 0).bit_length()
+    top = max(((e >> s) & FIELD_MASK for e in a for s in range(0, bits, EXPONENT_BITS)), default=0)
+    if k * top > MAX_EXPONENT:
+        raise DomainError(f"a product has an exponent above the limit {MAX_EXPONENT}")
     out = {0: 1}
     while k:
         if k & 1:

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+import cremona3._termops
 import cremona3.cli
 from cremona3 import grammar
 from cremona3._termops import MAX_EXPONENT
@@ -37,13 +38,23 @@ def test_parse_reorders_terms(capsys):
     assert out == "x*z - 1/2*y^2\n"
 
 
-def test_parse_exponent_past_the_limit_exits_3(capsys):
+def test_parse_exponent_past_the_limit_exits_3(capsys, monkeypatch):
     code, out, err = run(capsys, "parse", f"x^{MAX_EXPONENT + 1}")
     assert code == 3
     assert out == ""
     assert "exponent" in err
     code, out, _ = run(capsys, "parse", f"x^{MAX_EXPONENT}")
     assert (code, out) == (0, f"x^{MAX_EXPONENT}\n")
+
+    # A power past the limit is refused before any product: squaring
+    # 9999999999*x up to the overflow would take seconds.
+    def refuse(a, b):
+        raise AssertionError("a power past the exponent limit was multiplied")
+
+    monkeypatch.setattr(cremona3._termops, "mul_terms", refuse)
+    code, out, err = run(capsys, "parse", f"(9999999999*x)^{2 * MAX_EXPONENT}")
+    assert (code, out) == (3, "")
+    assert err == f"error: a product has an exponent above the limit {MAX_EXPONENT}\n"
 
 
 @pytest.mark.parametrize("dim, text", [("0", "2/3"), ("-4", "1+1"), ("0", "0")])

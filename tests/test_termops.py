@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+import cremona3._termops as termops
 from cremona3 import DomainError
 from cremona3._termops import (
     EXPONENT_BITS,
@@ -172,7 +173,7 @@ def test_derive_terms_past_the_guard_raises():
 
 
 def test_pow_terms_matches_oracle():
-    # Monomials (the one-key path) and sums, including cancelling pairs.
+    # Monomials and sums, including cancelling pairs.
     rng = random.Random("termops:pow_terms")
     for _ in range(300):
         a, _ = _random_pair(rng)
@@ -186,20 +187,28 @@ def test_pow_terms_matches_oracle():
         assert all(type(c) is int for c in got.values())
 
 
-def test_pow_terms_past_the_guard_raises():
+def test_pow_terms_past_the_guard_raises(monkeypatch):
     for exps in ((1, 0, 0), (0, 3, 1), (0, 0, 7)):
         k = MAX_EXPONENT // max(exps)
         assert _unpacked(pow_terms({pack(exps): -1}, k)) == {tuple(e * k for e in exps): (-1) ** k}
         with pytest.raises(DomainError, match="exponent above the limit"):
             pow_terms({pack(exps): -1}, k + 1)
-    # A sum overflows in the product that passes the limit.
-    with pytest.raises(DomainError, match="exponent above the limit"):
-        pow_terms({pack((MAX_EXPONENT // 2 + 1, 0, 0)): 1, 0: 1}, 2)
-    # An exponent that overflows by far is refused before any coefficient grows.
-    with pytest.raises(DomainError, match="exponent above the limit"):
-        pow_terms({pack((1, 0, 0)): 3}, 10**100)
     assert pow_terms({}, 0) == {0: 1} and pow_terms({}, 3) == {}
     assert pow_terms({0: 5}, 3) == {0: 125}
+    # An overflow is refused before any product: the squarings up to it
+    # would grow a large coefficient to millions of digits.
+    def no_product(a, b):
+        raise AssertionError("pow_terms multiplied past the exponent limit")
+
+    monkeypatch.setattr(termops, "mul_terms", no_product)
+    for a, k in (
+        ({pack((1, 0, 0)): 9999999999}, MAX_EXPONENT + 1),
+        ({pack((1, 0, 0)): 3}, 10**100),
+        ({pack((MAX_EXPONENT // 2 + 1, 0, 0)): 1, 0: 1}, 2),
+        ({pack((0, 2, 0)): 1, pack((0, 0, 5)): 1}, MAX_EXPONENT // 5 + 1),
+    ):
+        with pytest.raises(DomainError, match="exponent above the limit"):
+            pow_terms(a, k)
 
 
 def test_pack_round_trips_and_multiplies_by_addition():
