@@ -18,10 +18,10 @@ and ``normalize`` makes such a pair canonical.
 
 The kernels are ``scale_terms``, ``mul_terms``, ``pow_terms``,
 ``iadd_scaled_terms`` (sums and differences: scale one side, accumulate
-the other into it), ``combine_terms`` (a sum of monomial multiples, as
-in a closed-form shear) and ``derive_terms`` (a derivation applied to a
-term map).  All return canonical maps (no zero coefficients) and do not
-mutate their arguments, except ``iadd_scaled_terms`` whose name says so.
+the other into it; ``exactpoly`` is its only caller) and
+``derive_terms`` (a derivation applied to a term map).  All return
+canonical maps (no zero coefficients) and do not mutate their
+arguments, except ``iadd_scaled_terms`` whose name says so.
 """
 
 from functools import lru_cache, reduce
@@ -105,19 +105,23 @@ def mul_terms(a, b):
     return out
 
 
+def _check_power(a, k) -> None:
+    # DomainError if a ** k overflows, before any squaring grows the coefficients:
+    # the largest exponent of a variable in a^k is k times its largest in a.
+    bits = reduce(or_, a, 0).bit_length()
+    top = max(((e >> s) & FIELD_MASK for e in a for s in range(0, bits, EXPONENT_BITS)), default=0)
+    if k * top > MAX_EXPONENT:
+        raise DomainError(f"a product has an exponent above the limit {MAX_EXPONENT}")
+
+
 def pow_terms(a, k):
     """a ** k by binary powering; ``{0: 1}`` for k = 0.
 
     Needs no gcd: by Gauss's lemma the content of a^k is content(a)^k,
     so a canonical pair (den, a) has the canonical power (den ** k, a ** k).
-    The largest exponent of a variable in a^k is k times its largest in
-    a, so an overflow raises DomainError before any product is computed
-    (the squarings up to the overflow would grow the coefficients).
+    An exponent overflow raises DomainError before any product (``_check_power``).
     """
-    bits = reduce(or_, a, 0).bit_length()
-    top = max(((e >> s) & FIELD_MASK for e in a for s in range(0, bits, EXPONENT_BITS)), default=0)
-    if k * top > MAX_EXPONENT:
-        raise DomainError(f"a product has an exponent above the limit {MAX_EXPONENT}")
+    _check_power(a, k)
     out = {0: 1}
     while k:
         if k & 1:
@@ -139,23 +143,6 @@ def iadd_scaled_terms(acc, src, c):
             acc[e] = nv
         else:
             del acc[e]
-
-
-def combine_terms(parts):
-    """sum_j m_j * x^k_j * a_j for ``parts`` = [(a_j, k_j, m_j)], k_j a packed monomial.
-
-    One accumulator; a monomial factor is one key addition per term.
-    DomainError on overflow.
-    """
-    acc = {}
-    get = acc.get
-    for a, offset, m in parts:
-        for key, c in a.items():
-            key += offset
-            acc[key] = get(key, 0) + c * m
-    out = {e: c for e, c in acc.items() if c}
-    _check_exponents(out)
-    return out
 
 
 def derive_terms(a, images):

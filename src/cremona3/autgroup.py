@@ -434,6 +434,11 @@ class AutWord:
             return self.concat(other)
         return NotImplemented
 
+    def __eq__(self, other):
+        if isinstance(other, AutWord):
+            return self.dimension == other.dimension and self.factors == other.factors
+        return NotImplemented
+
     def __len__(self):
         return len(self.factors)
 

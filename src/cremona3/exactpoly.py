@@ -13,9 +13,10 @@ accessed.  Values are immutable; every operation is a pure function, so
 polynomials can be shared freely between threads.
 
 ``substitute`` and ``PolyMap.compose`` share one routine: a memo local to
-the call computes each monomial image once for all the polynomials it
-substitutes into, and each result goes over the lcm of the denominators
-of the images it uses.
+the call holds each monomial image once, as a pair ``(den, terms)``, for
+all the polynomials it substitutes into.  Each result is one ``_sum``, the
+routine that adds term maps over the lcm of their denominators (the parser
+and the shear assembler in ``nagata`` use it too).
 """
 
 from __future__ import annotations
@@ -350,7 +351,7 @@ class Polynomial:
 def _substitute_all(polys: Sequence[Polynomial], images: Sequence[Polynomial]) -> list:
     """``polys`` (all in dimension n) with variable i replaced by images[i].
 
-    ``memo`` maps a packed monomial to its image as a (term map, den)
+    ``memo`` maps a packed monomial to its image as a (den, term map)
     pair, and ``powers[i][e]`` is images[i] ** e as one; both serve all of
     ``polys``, so each distinct monomial costs one ``mul_terms`` in total.
     """
@@ -361,17 +362,11 @@ def _substitute_all(polys: Sequence[Polynomial], images: Sequence[Polynomial]) -
     if len(target_dims) != 1:
         raise DimensionMismatch(f"images live in different dimensions: {sorted(target_dims)}")
     m = target_dims.pop()
-    memo, powers = {0: ({0: 1}, 1)}, {}
-    fractional = {im._den for im in images} != {1}
+    memo, powers = {0: (1, {0: 1})}, {}
     out = []
     for p in polys:
         pairs = [memo.get(key) or _monomial_image(key, memo, powers, images) for key in p._terms]
-        # Any common multiple of the used denominators will do: normalize runs last.
-        common = lcm(*{den for _, den in pairs}) if fractional else 1
-        acc: dict = {}
-        for c, (terms, den) in zip(p._terms.values(), pairs):
-            iadd_scaled_terms(acc, terms, c * (common // den))
-        out.append(Polynomial._make(m, *normalize(p._den * common, acc)))
+        out.append(Polynomial._make(m, *_sum(list(zip(p._terms.values(), pairs)), p._den)))
     return out
 
 
@@ -379,16 +374,27 @@ def _monomial_image(key: int, memo: dict, powers: dict, images) -> tuple:
     # Not yet in memo: the image of key without its last variable, times that variable's power.
     shift = (key.bit_length() - 1) // EXPONENT_BITS * EXPONENT_BITS
     i, e, prefix = shift // EXPONENT_BITS, key >> shift, key & ((1 << shift) - 1)
-    cache = powers.get(i) or powers.setdefault(i, [None, (images[i]._terms, images[i]._den)])
+    cache = powers.get(i) or powers.setdefault(i, [None, (images[i]._den, images[i]._terms)])
     while len(cache) <= e:
-        (terms, den), (base, base_den) = cache[-1], cache[1]
-        cache.append((mul_terms(terms, base), den * base_den))
+        (den, terms), (base_den, base) = cache[-1], cache[1]
+        cache.append((den * base_den, mul_terms(terms, base)))
     image = cache[e]
     if prefix:
-        terms, den = memo.get(prefix) or _monomial_image(prefix, memo, powers, images)
-        image = (mul_terms(terms, image[0]), den * image[1])
+        den, terms = memo.get(prefix) or _monomial_image(prefix, memo, powers, images)
+        image = (den * image[0], mul_terms(terms, image[1]))
     memo[key] = image
     return image
+
+
+def _sum(parts, den: int = 1) -> tuple[int, dict]:
+    """The canonical pair of (sum_j c_j * terms_j / den_j) / den for ``parts`` =
+    [(c_j, (den_j, terms_j))]: one accumulator over the lcm of the den_j takes
+    each term once, and the pair is normalized once."""
+    common = lcm(*{d for _, (d, _) in parts})
+    acc: dict = {}
+    for c, (d, terms) in parts:
+        iadd_scaled_terms(acc, terms, c * (common // d))
+    return normalize(den * common, acc)
 
 
 def _derive(f: Polynomial, images: Sequence[Polynomial]) -> Polynomial:

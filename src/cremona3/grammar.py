@@ -18,24 +18,25 @@ corrections after.
 
 The parser computes on integer pairs ``(den, term map)`` with the
 ``_termops`` kernels: products and powers are ``mul_terms`` and
-``pow_terms``, a ``+``/``-`` chain is summed into one accumulator, and
-each parsed polynomial (or map component) is normalized once into one
-``Polynomial``.  Three budgets, checked before the work they bound,
-raise ``DomainError``: ``MAX_POWER_TERMS`` on powers,
-``MAX_PRODUCT_PAIRS`` on products and ``MAX_NESTING`` on parentheses and
-unary minus.
+``pow_terms``, a ``+``/``-`` chain is one ``exactpoly._sum``, and each
+parsed polynomial (or map component) becomes one ``Polynomial``.  Four
+budgets, checked before the work they bound, raise ``DomainError``:
+``MAX_POWER_TERMS`` on powers, ``MAX_PRODUCT_PAIRS`` on products,
+``MAX_NESTING`` on parentheses and unary minus, and the printable digits
+of the coefficients of a power's smallest and largest monomials (so
+``(2*x)^20000 - (2*x)^20000`` is refused though it cancels).
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 from typing import Optional, Sequence
 
-from ._termops import EXPONENT_BITS, iadd_scaled_terms, mul_terms, normalize, pow_terms, scale_terms
+from ._termops import EXPONENT_BITS, _check_power, mul_terms, normalize, pow_terms, scale_terms
 from .errors import ArityMismatch, DomainError, ParseError, UnknownVariable
-from .exactpoly import Polynomial, _check_dimension, default_variable_names
+from .exactpoly import Polynomial, _check_dimension, _sum, default_variable_names
 
 _OPERATORS = set("+-*^/(),")
 
@@ -171,13 +172,7 @@ class _Parser:
         while self.peek().kind in ("+", "-"):
             sign = 1 if self.advance().kind == "+" else -1
             parts.append((sign, self.parse_term()))
-        # One accumulator over the lcm of the denominators: a long sum
-        # adds each term once.
-        common = lcm(*{den for _, (den, _) in parts})
-        acc: dict = {}
-        for sign, (den, terms) in parts:
-            iadd_scaled_terms(acc, terms, sign * (common // den))
-        return common, acc
+        return _sum(parts)
 
     def parse_term(self) -> tuple[int, dict]:
         den, terms = self.parse_factor()
@@ -205,10 +200,18 @@ class _Parser:
             t = len(terms)
             if t > 1 and (k >= MAX_POWER_TERMS or comb(t + k - 1, k) > MAX_POWER_TERMS):
                 raise DomainError(f"{t}-term base to the power {k} exceeds the term budget {MAX_POWER_TERMS}")
-            # Reduce the base first: an unreduced pair such as (2/2)^k would
-            # carry 2^k over 2^k.  The terms go first, so that an exponent
-            # overflow raises before the denominator's power is computed.
+            # Reduce the base first: an unreduced pair such as (2/2)^k would carry
+            # 2^k over 2^k.  Packed-key order is a monomial order, so the coefficients
+            # of the smallest and largest keys, to the k, are the power's, over den^k.
+            # The terms go first: an exponent overflow raises before den ** k is computed.
             den, terms = normalize(den, terms)
+            try:
+                for key in {min(terms), max(terms)} if terms else ():
+                    if abs(terms[key]) != den:  # else the coefficient is 1 or -1
+                        _check_printable_power(Fraction(terms[key], den), k)
+            except DomainError:
+                _check_power(terms, k)  # an exponent overflow is reported first
+                raise
             terms = pow_terms(terms, k)
             den **= k
         return den, terms
@@ -245,7 +248,7 @@ class _Parser:
         )
 
     def polynomial(self) -> Polynomial:
-        """The next expression as a polynomial: one normalize, one ``_make``."""
+        """The next expression as a polynomial, made once with ``_make``."""
         return Polynomial._make(self.dimension, *normalize(*self.parse_expr()))
 
 

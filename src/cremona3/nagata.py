@@ -24,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import NamedTuple, Sequence
 
-from ._termops import EXPONENT_BITS, combine_terms, mul_terms, normalize
+from ._termops import EXPONENT_BITS, mul_terms
 from .autgroup import PolyMap
 from .derivation import (
     Derivation,
@@ -44,7 +43,7 @@ from .errors import (
     NotInKernelRing,
     NotMonomialInK,
 )
-from .exactpoly import Polynomial, variables
+from .exactpoly import Polynomial, _sum, variables
 
 
 class StandardObjects(NamedTuple):
@@ -116,35 +115,32 @@ def kernel_shear(c: Polynomial) -> PolyMap:
 
     exactly; this is ``PolyMap(D.scaled_by(q).exp_map())`` without
     iterating D.  It is the case alpha = 1, w = 0 of the one assembler
-    behind ``centralizer.reconstruct``: q is expanded once and squared
-    once, and each component is one integer pass.
+    behind ``centralizer.reconstruct``: q is expanded once, q^2 z is one
+    product, and each of the first two components is one ``_sum``.
     """
     return _scaled_shear(1, c, Polynomial.zero(3))
 
 
 def _scaled_shear(alpha, c: Polynomial, w: Polynomial) -> PolyMap:
-    # alpha * (x + q y + q^2 z/2 + w, y + q z, z) for q = c(z, p) and w in C[z]: each
-    # component sums its pieces over one common denominator; a factor y or z is a key shift.
+    # alpha * (x + q y + q^2 z/2 + w, y + q z, z) for q = c(z, p) and w in C[z]:
+    # q y and q z are monomial products, q^2 z is (q z) * q, and each of the
+    # first two components is one sum over alpha's denominator.
     q = from_kernel_coordinates(c)
     d, terms = q._den, q._terms
-    square = mul_terms(terms, terms)
+    qy, qz = mul_terms({_Y: 1}, terms), mul_terms({_Z: 1}, terms)
+    qqz = mul_terms(qz, terms)
     a, b = alpha.numerator, alpha.denominator
-    den = lcm(2 * d * d, w._den)
-    first = combine_terms(
-        ((_ONE, _X, den * a), (terms, _Y, den // d * a),
-         (square, _Z, den // (2 * d * d) * a), (w._terms, 0, den // w._den * a))
-    )
-    second = combine_terms(((_ONE, _Y, d * a), (terms, _Z, a)))
+    first = [(a, (1, {_X: 1})), (a, (d, qy)), (a, (2 * d * d, qqz)), (a, (w._den, w._terms))]
+    second = [(a, (1, {_Y: 1})), (a, (d, qz))]
     return PolyMap((
-        Polynomial._make(3, *normalize(den * b, first)),
-        Polynomial._make(3, *normalize(d * b, second)),
+        Polynomial._make(3, *_sum(first, b)),
+        Polynomial._make(3, *_sum(second, b)),
         Polynomial._make(3, b, {_Z: a}),
     ))
 
 
-#: The packed monomials x, y, z, and the unit term map.
+#: The packed monomials x, y, z.
 _X, _Y, _Z = (1 << (EXPONENT_BITS * i) for i in range(3))
-_ONE = {0: 1}
 
 
 def k_monomial(k: int) -> Polynomial:

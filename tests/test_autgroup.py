@@ -288,6 +288,22 @@ def test_invert_reverses_factor_order():
     assert compose(word.evaluate(), inverse.evaluate()).is_identity()
 
 
+def test_words_compare_factor_by_factor():
+    rng = random.Random(29)
+    for _ in range(10):
+        word = random_tame_word(rng, max_length=4)
+        assert AutWord(3, word.factors) == word
+        assert word.inverse().inverse() == word
+        changed = list(word.factors)
+        changed[-1] = ScalarGenerator(7, dimension=3)
+        assert AutWord(3, changed) != word
+        assert AutWord(3, changed + [changed[-1]]) != AutWord(3, changed)
+    g = ScalarGenerator(2, dimension=3)
+    assert AutWord(3, [g]) == AutWord(3, [ScalarGenerator(2, dimension=3)])
+    assert AutWord(3, [g]) != AutWord(3, [ScalarGenerator(3, dimension=3)])
+    assert AutWord(2, []) != AutWord(3, []) and AutWord(3, [g]) != g
+
+
 # -- commutation ----------------------------------------------------------------
 
 

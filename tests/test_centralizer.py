@@ -379,19 +379,32 @@ def test_decompose_works_in_kernel_coordinates(monkeypatch):
 
 
 def test_reconstruct_expands_and_squares_q_once(monkeypatch):
+    # One expansion of q, the monomial products q y and q z, and one
+    # product of two multi-term maps, (q z) * q.
     import cremona3.nagata
+    from cremona3.derivation import from_kernel_coordinates
 
     rng = random.Random(107)
     triples = _wide_triples(rng, 6)
-    counts = {}
+    counts, shapes = {}, []
+    mul_terms = cremona3.nagata.mul_terms
+
+    def shaped(a, b):
+        shapes.append((len(a), len(b)))
+        return mul_terms(a, b)
+
     _count_calls(monkeypatch, cremona3.nagata, "from_kernel_coordinates", counts)
-    _count_calls(monkeypatch, cremona3.nagata, "mul_terms", counts)
+    monkeypatch.setattr(cremona3.nagata, "mul_terms", shaped)
     _count_products(monkeypatch, counts)
-    for d in triples:
+    sizes = [len(from_kernel_coordinates(d.q).exponents()) for d in triples]
+    assert max(sizes) > 1
+    for d, t in zip(triples, sizes):
         for build in (lambda: reconstruct(d), lambda: kernel_shear(d.q)):
             counts.clear()
+            shapes.clear()
             build()
-            assert counts == {"from_kernel_coordinates": 1, "mul_terms": 1}
+            assert counts == {"from_kernel_coordinates": 1}
+            assert shapes == [(1, t), (1, t), (t, t)]
 
 
 @pytest.mark.parametrize("kind", ["cy", "cz2"])

@@ -106,6 +106,18 @@ def test_parse_product_past_the_pair_budget_exits_3_at_once(capsys):
     assert time.perf_counter() - start < 0.5
 
 
+def test_parse_power_past_the_print_limit_exits_3_at_once(capsys):
+    # The power would take a minute to compute before the formatter refused it.
+    if sys.get_int_max_str_digits() != 4300:
+        pytest.skip("pins the default limit of 4300 digits")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "parse", "(12345678901*x+98765432101/7*y)^999")
+    assert (code, out) == (3, "")
+    assert err == "error: a coefficient exceeds the limit of 4300 digits for printing\n"
+    assert time.perf_counter() - start < 0.5
+    assert run(capsys, "parse", "(2*x)^100") == (0, f"{2 ** 100}*x^100\n", "")
+
+
 @pytest.mark.parametrize("text", ["{n}*x", "x^{n}", "1/{n}", "(9999999999*x)^500"])
 def test_parse_integers_past_the_digit_limit_exit_3(capsys, text):
     # A literal of 5000 digits on input; a coefficient of 5000 digits on output.

@@ -1,8 +1,9 @@
 """Exact polynomial arithmetic: examples, errors, and algebraic laws."""
 
+import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,8 @@ from cremona3 import (
     Polynomial,
     variables,
 )
-from cremona3._termops import MAX_EXPONENT
+from cremona3._termops import MAX_EXPONENT, pack
+from cremona3.exactpoly import _sum
 from cremona3.verify import random_polynomial
 from oracle import (
     as_dict,
@@ -297,6 +299,44 @@ def test_substitute_changes_dimension():
     u, v = variables(2)
     f = (X + Z).substitute([u, v, u * v])
     assert f == u + u * v
+
+
+_SUM_DENOMINATORS = (1, 2, 3, 10**9 + 7, 2**61 - 1)
+
+
+def _fraction_sum(parts, den):
+    # The canonical pair of (sum_j c_j * terms_j / den_j) / den, in Fractions.
+    total = {}
+    for c, (d, terms) in parts:
+        for key, v in terms.items():
+            total[key] = total.get(key, 0) + Fraction(c * v, d)
+    total = {key: v / den for key, v in total.items() if v}
+    common = lcm(*(v.denominator for v in total.values()))
+    return common, {key: v.numerator * (common // v.denominator) for key, v in total.items()}
+
+
+def test_sum_matches_fraction_arithmetic():
+    rng = random.Random("exactpoly:_sum")
+    keys = [pack(e) for e in itertools.product(range(3), repeat=3)]
+    for _ in range(300):
+        parts = []
+        for _ in range(rng.randint(0, 5)):
+            terms = {
+                key: rng.choice((-1, 1)) * rng.randint(1, 10 ** rng.randint(1, 20))
+                for key in rng.sample(keys, rng.randint(0, 6))
+            }
+            c = rng.choice((0, -1, 1, rng.randint(-(10**6), 10**6)))
+            parts.append((c, (rng.choice(_SUM_DENOMINATORS), terms)))
+        if parts and rng.random() < 0.2:
+            # Every part again with the opposite sign: the sum cancels fully.
+            parts += [(-c, pair) for c, pair in parts]
+        den = rng.choice(_SUM_DENOMINATORS)
+        for got, want in ((_sum(parts, den), _fraction_sum(parts, den)),
+                          (_sum(parts), _fraction_sum(parts, 1))):
+            assert got == want
+            assert all(type(c) is int for c in got[1].values())
+    assert _sum([]) == (1, {}) and _sum([], 7) == (1, {})
+    assert _sum([(1, (2, {0: 1})), (-1, (4, {0: 2}))], 3) == (1, {})
 
 
 # -- partial derivative ----------------------------------------------------

@@ -22,7 +22,8 @@ from cremona3 import (
     parse_polynomial,
     variables,
 )
-from cremona3 import grammar
+from cremona3 import exactpoly, grammar
+from cremona3._termops import MAX_EXPONENT
 from cremona3.grammar import MAX_NESTING, MAX_POWER_TERMS, MAX_PRODUCT_PAIRS
 from cremona3.verify import random_polynomial
 from test_exactpoly import polynomials
@@ -287,7 +288,7 @@ def test_one_sum_adds_each_term_once(monkeypatch):
     # the running total, so the work is linear in the number of terms.
     p, text = _long_sum()
     added = []
-    original = grammar.iadd_scaled_terms
+    original = exactpoly.iadd_scaled_terms
 
     def counted(acc, src, c):
         added.append(len(src))
@@ -296,8 +297,8 @@ def test_one_sum_adds_each_term_once(monkeypatch):
     def refuse(terms, c):
         raise AssertionError("a sum copied a term map")
 
-    monkeypatch.setattr(grammar, "iadd_scaled_terms", counted)
-    monkeypatch.setattr(grammar, "scale_terms", refuse)
+    monkeypatch.setattr(exactpoly, "iadd_scaled_terms", counted)
+    monkeypatch.setattr(exactpoly, "scale_terms", refuse)
     assert parse_polynomial(text) == p
     assert added == [1] * len(p.exponents())
 
@@ -352,6 +353,38 @@ def test_a_power_base_is_reduced_first(monkeypatch):
     monkeypatch.setattr(grammar, "pow_terms", recorded)
     assert parse_polynomial("(2/2)^100000 + (1/2*x - 1/2*x)^100000 - (4/6*y)^2") == 1 - Fraction(4, 9) * Y ** 2
     assert bases == [{0: 1}, {}, {1 << 21: 2}]
+
+
+def test_power_past_the_print_limit_raises_before_computing(monkeypatch):
+    # The k-th powers of the coefficients of the smallest and largest monomials
+    # are coefficients of the result; when one cannot be printed the power is
+    # refused, even if a later term cancels it.
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter has no limit on integer string conversion")
+
+    def refuse(terms, exponent):
+        raise AssertionError("a power past the print limit was computed")
+
+    monkeypatch.setattr(grammar, "pow_terms", refuse)
+    k = 4 * limit
+    for text in (
+        "(12345678901*x + 98765432101/7*y)^999",
+        "(12345678901*x + y)^999",
+        f"(1/12345678901*y)^{k}",
+        f"2^{k}",
+        f"(2*x)^{k} - (2*x)^{k}",
+        "x*(3*z)^99999",
+    ):
+        with pytest.raises(DomainError, match=f"exceeds the limit of {limit} digits for printing"):
+            parse_polynomial(text)
+
+
+def test_powers_within_the_print_limit_are_computed():
+    assert parse_polynomial("(2*x)^100") == 2 ** 100 * X ** 100
+    assert parse_polynomial(f"x^{MAX_EXPONENT}") == X ** MAX_EXPONENT
+    assert parse_polynomial("(2/2)^1000000000 * (1/2*x - 1/2*x)^1000000000") == 0
+    assert parse_polynomial("(12345678901*x + y)^50") == (12345678901 * X + Y) ** 50
 
 
 # -- budgets on nesting and products -------------------------------------------

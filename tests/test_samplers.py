@@ -94,12 +94,11 @@ def ref_random_tame_word(rng, dimension=3, max_length=6, max_tail_degree=3, cost
 
 
 def _canonical(value):
-    # Samples compared through their canonical integer pairs; AutWord has
-    # no equality of its own, so a word compares factor by factor.
+    # Samples compared as values and through their canonical integer pairs.
     if isinstance(value, Polynomial):
         return value.dimension, value.integer_terms()
     if isinstance(value, AutWord):
-        return value.dimension, tuple(_canonical(g) for g in value.factors)
+        return value, tuple(_canonical(g) for g in value.factors)
     if isinstance(value, TriangularGenerator):
         return value, tuple(_canonical(c) for c in value.components)
     if isinstance(value, AffineGenerator):

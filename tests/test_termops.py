@@ -5,7 +5,9 @@ convert the oracle's exponent tuples, so every comparison is made on
 exponent tuples by code that shares nothing with the kernels.
 """
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +16,6 @@ from cremona3 import DomainError
 from cremona3._termops import (
     EXPONENT_BITS,
     MAX_EXPONENT,
-    combine_terms,
     derive_terms,
     iadd_scaled_terms,
     mul_terms,
@@ -109,40 +110,9 @@ def test_kernels_do_not_mutate_inputs():
     mul_terms(a, b)
     scale_terms(a, 3)
     iadd_scaled_terms(dict(a), b, 3)
-    combine_terms(((a, pack((0, 1, 0)), 2), (b, 0, -1)))
     derive_terms(a, ((0, b, 3),))
     normalize(6, a)
     assert a == snapshot_a and b == snapshot_b
-
-
-def _monomial(rng, top):
-    return tuple(rng.randint(0, top) for _ in range(DIMENSION))
-
-
-def test_combine_terms_matches_oracle_with_key_offsets():
-    rng = random.Random("termops:combine_terms")
-    for _ in range(300):
-        parts = []
-        for _ in range(rng.randint(0, 4)):
-            a, _ = _random_pair(rng)
-            # Offsets may take a field near the guard up to MAX_EXPONENT, never past it.
-            room = MAX_EXPONENT - max((max(e) for e in a), default=0)
-            parts.append((a, _monomial(rng, min(room, 2)), rng.randint(-4, 4)))
-        got = combine_terms([(_packed(a), pack(k), m) for a, k, m in parts])
-        expected = []
-        for a, k, m in parts:
-            expected += o_mul(_as_oracle(a), [(m, k)])
-        assert _unpacked(got) == o_normalize(expected)
-        assert all(type(c) is int for c in got.values())
-
-
-def test_combine_terms_offset_past_the_guard_raises():
-    top, y = pack((MAX_EXPONENT, 0, 0)), pack((0, 1, 0))
-    assert _unpacked(combine_terms((({top: 1}, y, 2),))) == {(MAX_EXPONENT, 1, 0): 2}
-    with pytest.raises(DomainError):
-        combine_terms((({top: 1}, pack((1, 0, 0)), 1),))
-    with pytest.raises(DomainError):
-        combine_terms((({0: 1}, y, 1), ({top: 1, y: 1}, pack((1, 0, 0)), 3)))
 
 
 def test_derive_terms_matches_oracle():
@@ -240,3 +210,22 @@ def test_normalize_divides_out_the_common_content():
     assert normalize(6, {0: 5, m: 3}) == (6, {0: 5, m: 3})
     assert normalize(1, {m: 4}) == (1, {m: 4})
     assert normalize(9, {}) == (1, {})
+
+
+def test_exactpoly_is_the_only_module_that_sums_term_maps():
+    # Term maps are added over a common denominator in one place, exactpoly:
+    # no other module imports iadd_scaled_terms, and no kernel for sums of
+    # monomial multiples (combine_terms) comes back beside it.
+    importers, combiners = set(), set()
+    for path in Path(termops.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {alias.name for alias in node.names}
+                if "iadd_scaled_terms" in names:
+                    importers.add(path.stem)
+                if "combine_terms" in names:
+                    combiners.add(path.stem)
+            elif isinstance(node, ast.FunctionDef) and node.name == "combine_terms":
+                combiners.add(path.stem)
+    assert importers == {"exactpoly"}
+    assert combiners == set()
