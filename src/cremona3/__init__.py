@@ -15,7 +15,6 @@ from .autgroup import (
     AffineGenerator,
     AutWord,
     ExponentialGenerator,
-    GeneratorShape,
     PolyMap,
     ScalarGenerator,
     TriangularGenerator,
@@ -23,13 +22,11 @@ from .autgroup import (
     compose,
     evaluate,
     invert_word,
-    is_tame_generator,
     parse_poly_map,
 )
 from .centralizer import (
     Decomposition,
     decompose,
-    is_in_H,
     is_in_centralizer,
     reconstruct,
 )
@@ -55,7 +52,6 @@ from .errors import (
     InvalidGenerator,
     MalformedCentralizerElement,
     NotInCentralizer,
-    NotInKerEKerD,
     NotInKernelRing,
     NotMonomialInK,
     ParseError,
@@ -76,12 +72,9 @@ from .grammar import (
     parse_polynomial,
 )
 from .nagata import (
-    H_WEIGHTS,
     StandardObjects,
     TorusElement,
     character_lambda,
-    commutes_with_weight_scaling,
-    f2_element,
     is_in_K,
     k_monomial,
     kernel_shear,

@@ -26,7 +26,6 @@ and its inverse substitutes only the non-constant tails.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
@@ -157,12 +156,6 @@ def _affine_form(den: int, matrix, shift) -> tuple:
 
 
 # -- generators ---------------------------------------------------------
-
-
-class GeneratorShape(Enum):
-    AFFINE = "affine"
-    TRIANGULAR = "triangular"
-    NEITHER = "neither"
 
 
 class AffineGenerator:
@@ -424,15 +417,12 @@ class AutWord:
     def inverse(self) -> "AutWord":
         return AutWord(self.dimension, tuple(g.inverse() for g in reversed(self.factors)))
 
-    def concat(self, other: "AutWord") -> "AutWord":
+    def __mul__(self, other):
+        if not isinstance(other, AutWord):
+            return NotImplemented
         if self.dimension != other.dimension:
             raise DimensionMismatch("cannot concatenate words of different dimensions")
         return AutWord(self.dimension, self.factors + other.factors)
-
-    def __mul__(self, other):
-        if isinstance(other, AutWord):
-            return self.concat(other)
-        return NotImplemented
 
     def __eq__(self, other):
         if isinstance(other, AutWord):
@@ -455,27 +445,3 @@ def evaluate(word: AutWord) -> PolyMap:
 
 def invert_word(word: AutWord) -> AutWord:
     return word.inverse()
-
-
-def is_tame_generator(m: PolyMap) -> GeneratorShape:
-    """Classify the shape of an explicit map.
-
-    This checks generator *shape* only; a map classified NEITHER can
-    still be a product of tame generators.
-    """
-    n = m.dimension
-    if all(c.total_degree() <= 1 for c in m.components):
-        units = [tuple(int(j == k) for k in range(n)) for j in range(n)]
-        try:
-            AffineGenerator(
-                [[c.coefficient(u) for u in units] for c in m.components],
-                [c.coefficient((0,) * n) for c in m.components],
-            )
-            return GeneratorShape.AFFINE
-        except InvalidGenerator:
-            pass
-    try:
-        TriangularGenerator(m.components)
-    except (InvalidGenerator, DimensionMismatch):
-        return GeneratorShape.NEITHER
-    return GeneratorShape.TRIANGULAR

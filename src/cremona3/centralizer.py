@@ -38,7 +38,7 @@ from .errors import (
 )
 from .exactpoly import Polynomial
 from .grammar import format_polynomial
-from .nagata import H_WEIGHTS, _scaled_shear, commutes_with_weight_scaling, standard_objects
+from .nagata import _scaled_shear, standard_objects
 
 
 @dataclass(frozen=True)
@@ -148,10 +148,3 @@ def reconstruct(d: Decomposition) -> PolyMap:
     no map is composed.
     """
     return _scaled_shear(d.alpha, d.q, d.w)
-
-
-def is_in_H(f: PolyMap) -> bool:
-    """Commutes with the shear and with (a^3 x, a y, a^-1 z) for formal a."""
-    if f.dimension != 3:
-        raise DimensionMismatch(f"H membership needs dimension 3, got {f.dimension}")
-    return is_in_centralizer(f) and commutes_with_weight_scaling(f, H_WEIGHTS)

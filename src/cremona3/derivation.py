@@ -4,9 +4,9 @@ A derivation is determined by its images of the coordinate functions,
 ``D(f) = sum_i D(x_i) * df/dx_i``.  ``apply`` evaluates that sum in one
 pass over f's packed terms (``exactpoly._derive``), with one integer
 accumulator and one normalization; everything here that iterates D
-(``nilpotency_index``, ``is_locally_nilpotent``, ``exp_map``) runs on
-it.  Local nilpotency (every polynomial is killed by some iterate) makes
-the exponential series terminate, giving a polynomial automorphism;
+(``is_locally_nilpotent``, ``exp_map``) runs on it.  Local nilpotency
+(every polynomial is killed by some iterate) makes the exponential
+series terminate, giving a polynomial automorphism;
 ``formal_flow`` adjoins a formal parameter t as a fresh last variable
 and returns the one-parameter family exp(tD).
 
@@ -96,15 +96,6 @@ class Derivation:
     def scaled_by(self, q: Polynomial) -> "Derivation":
         """The derivation q * D."""
         return Derivation(tuple(q * img for img in self.images))
-
-    def nilpotency_index(self, f: Polynomial, bound: int = DEFAULT_BOUND) -> int:
-        """Least m with D^m(f) = 0, if m <= bound."""
-        g = f
-        for m in range(bound + 1):
-            if g.is_zero():
-                return m
-            g = self.apply(g)
-        raise BoundExceeded(f"D^{bound}(f) is still nonzero; f may not be annihilated")
 
     def is_locally_nilpotent(self, bound: int = DEFAULT_BOUND) -> NilpotencyReport:
         """Check D^m(x_i) = 0 for every generator within the bound.

@@ -38,11 +38,6 @@ class NotInKernelRing(DomainError):
     """The polynomial is not of the form c(z, xz - y^2/2)."""
 
 
-class NotInKerEKerD(DomainError):
-    """The polynomial involves x or y, so it cannot parameterize an
-    x-translation commuting with the shear."""
-
-
 class NotMonomialInK(DomainError):
     """The polynomial is not a nonzero scalar multiple of a single
     monomial p*(p*z^2)^k."""

@@ -23,8 +23,8 @@ parsed polynomial (or map component) becomes one ``Polynomial``.  Four
 budgets, checked before the work they bound, raise ``DomainError``:
 ``MAX_POWER_TERMS`` on powers, ``MAX_PRODUCT_PAIRS`` on products,
 ``MAX_NESTING`` on parentheses and unary minus, and the printable digits
-of the coefficients of a power's smallest and largest monomials (so
-``(2*x)^20000 - (2*x)^20000`` is refused though it cancels).
+of the coefficients of a power's or a product's smallest and largest
+monomials (so ``(2*x)^20000 - (2*x)^20000`` is refused though it cancels).
 """
 
 from __future__ import annotations
@@ -138,6 +138,7 @@ class _Parser:
         self.names = {name: i for i, name in enumerate(names)}
         self.dimension = dimension
         self.depth = 0
+        self.print_bits = _print_bits()
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -184,6 +185,8 @@ class _Parser:
                     f"a product of {len(terms)} and {len(other)} terms exceeds the "
                     f"pair budget {MAX_PRODUCT_PAIRS}"
                 )
+            if self.print_bits and terms and other:
+                _check_printable_product(den, terms, other_den, other, self.print_bits)
             den, terms = den * other_den, mul_terms(terms, other)
         return den, terms
 
@@ -332,15 +335,42 @@ def _unprintable() -> DomainError:
     return DomainError(f"a coefficient exceeds the limit of {_digit_limit()} digits for printing")
 
 
+def _print_bits() -> int:
+    """The least m with floor(m * 3010299 / 10^7) >= the digit limit, 0 where
+    there is no limit.  As 3010299 / 10^7 < log10(2), every integer >= 2^m
+    has more digits than the formatter prints."""
+    limit = _digit_limit()
+    return limit and -(-limit * 10**7 // 3010299)
+
+
 def _check_printable_power(base: Fraction, exponent: int) -> None:
     """Raise the formatter's DomainError, without computing base^exponent,
     when the power's numerator or denominator has too many digits to print:
-    the power of a b-bit part has more than (b - 1) * exponent * log10(2)."""
-    limit = _digit_limit()
+    the power of a b-bit part is at least 2^((b - 1) * exponent)."""
+    bits = _print_bits()
     for part in (base.numerator, base.denominator):
-        # 3010299 / 10^7 < log10(2) keeps the estimate below the true digit count.
-        if limit and (abs(part).bit_length() - 1) * exponent * 3010299 // 10**7 >= limit:
+        if bits and (abs(part).bit_length() - 1) * exponent >= bits:
             raise _unprintable()
+
+
+def _check_printable_product(den_a: int, a: dict, den_b: int, b: dict, bits: int) -> None:
+    """Raise the formatter's DomainError, without forming a * b, when the
+    reduced coefficient of the product's smallest or largest packed monomial
+    has too many digits to print (``bits`` is ``_print_bits()``).  Each comes
+    from one pair of terms, so it is the product of the factors' coefficients
+    there: with both reduced and the cross gcds divided out, its numerator
+    and denominator are products x * y >= 2^(bits(x) + bits(y) - 2)."""
+    long_den = den_a.bit_length() + den_b.bit_length() - 2 >= bits
+    for ka, kb in ((min(a), min(b)), (max(a), max(b))):
+        na, nb = a[ka], b[kb]
+        if not long_den and na.bit_length() + nb.bit_length() - 2 < bits:
+            continue  # short before reducing, so short after it
+        ga, gb = gcd(na, den_a), gcd(nb, den_b)
+        na, da, nb, db = na // ga, den_a // ga, nb // gb, den_b // gb
+        g, h = gcd(na, db), gcd(nb, da)
+        for x, y in ((na // g, nb // h), (da // h, db // g)):
+            if x.bit_length() + y.bit_length() - 2 >= bits:
+                raise _unprintable()
 
 
 def _term_order_key(exps):

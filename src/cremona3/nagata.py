@@ -5,10 +5,10 @@ invariant quadric p = xz - y^2/2, the Nagata map h = exp(pD) and the
 degree-one shear h' = exp(D).
 
 A unipotent element exp(q D) with q = c(z, p) in ker D is held as its
-exponent c alone, a polynomial in kernel coordinates (Z, P), where
-membership tests and character-degree extraction are monomial
-inspections: q lies in p*C[p z^2] exactly when every monomial Z^a P^b
-has b >= 1 and a = 2(b-1).
+exponent c alone, a polynomial in kernel coordinates (Z, P).  On c,
+membership (``is_in_K``) and character-degree extraction
+(``lambda_degree``) are monomial inspections: q lies in p*C[p z^2]
+exactly when every monomial Z^a P^b of c has b >= 1 and a = 2(b-1).
 
 Because q lies in ker D, exp(qD) is the closed form
 ``kernel_shear``: (x + q y + q^2 z/2, y + q z, z), with no series to sum.
@@ -24,25 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from ._termops import EXPONENT_BITS, mul_terms
 from .autgroup import PolyMap
-from .derivation import (
-    Derivation,
-    from_kernel_coordinates,
-    kernel_coordinates,
-    nagata_derivation,
-    nagata_invariant,
-)
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    InvalidGenerator,
-    NotInKerEKerD,
-    NotInKernelRing,
-    NotMonomialInK,
-)
+from .derivation import Derivation, from_kernel_coordinates, nagata_derivation, nagata_invariant
+from .errors import DimensionMismatch, DomainError, InvalidGenerator, NotMonomialInK
 from .exactpoly import Polynomial, _sum, variables
 
 
@@ -88,20 +75,6 @@ class TorusElement:
 
     def inverse(self) -> "TorusElement":
         return TorusElement(Fraction(1) / self.beta, Fraction(1) / self.gamma)
-
-
-def f2_element(w: Polynomial) -> PolyMap:
-    """The x-translation (x + w(z), y, z) for w in C[z].
-
-    Raises NotInKerEKerD when w involves x or y, since only z-dependent
-    shifts are killed by both the x-derivative and the shear derivation.
-    """
-    if w.dimension != 3:
-        raise DimensionMismatch(f"expected a polynomial in x, y, z; got dimension {w.dimension}")
-    if not w.depends_only_on({2}):
-        raise NotInKerEKerD("the shift must depend on z alone")
-    x, y, z = (Polynomial.variable(i, 3) for i in range(3))
-    return PolyMap((x + w, y, z))
 
 
 def kernel_shear(c: Polynomial) -> PolyMap:
@@ -150,14 +123,12 @@ def k_monomial(k: int) -> Polynomial:
     return Polynomial(2, {(2 * k, k + 1): Fraction(1)})
 
 
-def is_in_K(q: Polynomial) -> bool:
-    """True iff q = c(z, p) with c in P*C[P Z^2]."""
-    if q.dimension != 3:
-        raise DimensionMismatch(f"expected a polynomial in x, y, z; got dimension {q.dimension}")
-    try:
-        c = kernel_coordinates(q)
-    except NotInKernelRing:
-        return False
+def is_in_K(c: Polynomial) -> bool:
+    """True iff the exponent c(Z, P) lies in P*C[P Z^2].
+
+    A monomial inspection: every Z^a P^b of c has b >= 1 and a = 2(b-1).
+    """
+    _check_exponent(c)
     return all(b >= 1 and a == 2 * (b - 1) for a, b in c.exponents())
 
 
@@ -187,27 +158,19 @@ def torus_conjugate(t: TorusElement, c: Polynomial) -> Polynomial:
     c = s Z^(2k) P^(k+1), this rescales the exponent by exactly
     character_lambda(k, t) = (b*g)^(2k+1).
     """
-    if c.dimension != 2:
-        raise DimensionMismatch(
-            f"unipotent exponent must be a kernel polynomial in (Z, P), got dimension {c.dimension}"
-        )
+    _check_exponent(c)
     Z, P = variables(2)
     return c.substitute((Z * t.gamma, P * t.beta ** 2)) * (t.gamma / t.beta)
 
 
-def lambda_degree(q: Polynomial) -> int:
-    """The k with q proportional to p*(p z^2)^k.
+def lambda_degree(c: Polynomial) -> int:
+    """The k with the exponent c(Z, P) proportional to Z^(2k) P^(k+1).
 
-    Raises NotMonomialInK when q mixes distinct k-monomials or does not
-    lie in P*C[P Z^2] at all; such a q does not span a torus-normalized
-    one-parameter subgroup.
+    Raises NotMonomialInK when c mixes distinct k-monomials or does not
+    lie in P*C[P Z^2] at all; such an exponent does not span a
+    torus-normalized one-parameter subgroup.
     """
-    if q.dimension != 3:
-        raise DimensionMismatch(f"expected a polynomial in x, y, z; got dimension {q.dimension}")
-    try:
-        c = kernel_coordinates(q)
-    except NotInKernelRing as exc:
-        raise NotMonomialInK(str(exc)) from exc
+    _check_exponent(c)
     monomials = c.exponents()
     if len(monomials) != 1:
         raise NotMonomialInK(
@@ -219,24 +182,8 @@ def lambda_degree(q: Polynomial) -> int:
     return b - 1
 
 
-def commutes_with_weight_scaling(m: PolyMap, weights: Sequence[int]) -> bool:
-    """True iff m commutes with (l^w1 x_1, ..., l^wn x_n) for formal l.
-
-    Exact symbolic criterion: comparing coefficients of the formal scale
-    factor, commutation holds iff every monomial of component i has
-    weighted degree equal to weights[i].
-    """
-    if m.dimension != len(weights):
+def _check_exponent(c: Polynomial) -> None:
+    if c.dimension != 2:
         raise DimensionMismatch(
-            f"map dimension {m.dimension} != number of weights {len(weights)}"
+            f"unipotent exponent must be a kernel polynomial in (Z, P), got dimension {c.dimension}"
         )
-    for target, comp in zip(weights, m.components):
-        for exps in comp.exponents():
-            if sum(w * e for w, e in zip(weights, exps)) != target:
-                return False
-    return True
-
-
-#: Weights of the one-parameter group (a^3 x, a y, a^-1 z) that cuts out
-#: the subgroup H inside the centralizer.
-H_WEIGHTS = (3, 1, -1)

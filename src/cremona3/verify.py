@@ -24,7 +24,7 @@ from .autgroup import (
     TriangularGenerator,
     compose,
 )
-from .centralizer import Decomposition, decompose, reconstruct
+from .centralizer import Decomposition, decompose, is_in_centralizer, reconstruct
 from .derivation import Derivation, Nilpotency, from_kernel_coordinates, kernel_coordinates
 from .errors import InvalidGenerator, NotMonomialInK
 from .exactpoly import Polynomial
@@ -508,14 +508,12 @@ def check_parser_roundtrip(rng: random.Random, trials: int) -> CheckResult:
 def check_negative_controls() -> CheckResult:
     """Known non-members and non-identities are detected as such."""
     name = "negative-controls"
-    from .centralizer import is_in_centralizer
-
     objs = standard_objects()
     x, y, z = (Polynomial.variable(i, 3) for i in range(3))
     if is_in_centralizer(PolyMap((x + y, y, z))):
         return CheckResult(name, False, "(x+y, y, z) was accepted into the centralizer")
     try:
-        lambda_degree(objs.p + objs.p ** 2 * z ** 2)
+        lambda_degree(k_monomial(0) + k_monomial(1))
     except NotMonomialInK:
         pass
     else:

@@ -17,6 +17,7 @@ from cremona3 import (
     PolyMap,
     Polynomial,
     is_in_centralizer,
+    kernel_coordinates,
     lambda_degree,
     nagata_derivation,
     nagata_invariant,
@@ -167,7 +168,7 @@ def test_criterion_10_negative_controls(capsys):
 
         p = nagata_invariant()
         with pytest.raises(NotMonomialInK):
-            lambda_degree(p + p ** 2 * Z ** 2)
+            lambda_degree(kernel_coordinates(p + p ** 2 * Z ** 2))
 
         from cremona3 import Derivation
 

@@ -1,4 +1,4 @@
-"""Automorphism words: evaluation, composition, inversion, classification."""
+"""Automorphism words: evaluation, composition, inversion, generator validation."""
 
 import itertools
 import random
@@ -13,8 +13,8 @@ from cremona3 import (
     DimensionMismatch,
     DomainError,
     ExponentialGenerator,
-    GeneratorShape,
     InvalidGenerator,
+    Nilpotency,
     PolyMap,
     Polynomial,
     ScalarGenerator,
@@ -23,7 +23,6 @@ from cremona3 import (
     compose,
     evaluate,
     invert_word,
-    is_tame_generator,
     nagata_derivation,
     nagata_invariant,
     standard_objects,
@@ -244,7 +243,9 @@ def test_invert_exponential_built_past_the_default_bound():
     from cremona3 import Derivation
 
     slow = Derivation((Y ** 70, Z ** 2, Polynomial.zero(3)))
-    assert slow.nilpotency_index(X, 100) == 72
+    edge, full = slow.is_locally_nilpotent(71), slow.is_locally_nilpotent(72)
+    assert (edge.verdict, edge.witness) == (Nilpotency.INCONCLUSIVE, (0, 71))
+    assert full.verdict is Nilpotency.LOCALLY_NILPOTENT_UP_TO_BOUND
     inverse = ExponentialGenerator(Z, slow, bound=100).inverse()
     assert (inverse.q, inverse.derivation, inverse.scale) == (Z, slow, -1)
 
@@ -330,36 +331,6 @@ def test_scalars_commute():
     assert commutes(a, b)
 
 
-# -- classification ----------------------------------------------------------------
-
-
-def test_classify_affine():
-    m = PolyMap((2 * X + Y + 1, Y - Z, Z))
-    assert is_tame_generator(m) is GeneratorShape.AFFINE
-
-
-def test_classify_triangular():
-    m = PolyMap((X + Y ** 2, Y + Z ** 3, Z))
-    assert is_tame_generator(m) is GeneratorShape.TRIANGULAR
-
-
-def test_classify_nagata_is_neither():
-    # Shape check only; the map is still a product of tame pieces or not
-    # independently of this classification.
-    assert is_tame_generator(standard_objects().h) is GeneratorShape.NEITHER
-
-
-def test_classify_affine_needing_a_row_swap():
-    # No x term in the first component: the first pivot needs a row swap,
-    # and the map is not triangular either.
-    m = PolyMap((Y + 1, 2 * X - Z, X + Z))
-    assert is_tame_generator(m) is GeneratorShape.AFFINE
-
-
-def test_classify_singular_linear_is_neither():
-    assert is_tame_generator(PolyMap((X + Y, X + Y, Z))) is GeneratorShape.NEITHER
-
-
 # -- generator validation ------------------------------------------------------------
 
 
@@ -431,6 +402,12 @@ def test_word_concatenation_is_associative():
         v = random_tame_word(rng, max_length=2)
         w = random_tame_word(rng, max_length=2)
         assert ((u * v) * w).evaluate() == (u * (v * w)).evaluate()
+
+
+def test_word_product_needs_equal_dimensions():
+    with pytest.raises(DimensionMismatch, match="cannot concatenate words of different dimensions"):
+        AutWord(3, []) * AutWord(2, [])
+    assert AutWord(3, []).__mul__(PolyMap.identity(3)) is NotImplemented
 
 
 def test_words_have_exact_two_sided_inverses():

@@ -18,9 +18,7 @@ from cremona3 import (
     commutes,
     compose,
     decompose,
-    f2_element,
     from_kernel_coordinates,
-    is_in_H,
     is_in_centralizer,
     kernel_coordinates,
     kernel_shear,
@@ -239,7 +237,7 @@ def test_reconstruct_matches_the_composed_product():
     rng = random.Random(79)
     for d in _wide_triples(rng, 8):
         scalar = PolyMap(tuple(v * d.alpha for v in (X, Y, Z)))
-        product = compose(scalar, compose(f2_element(d.w), _exp_shear(d.q)))
+        product = compose(scalar, compose(PolyMap((X + d.w, Y, Z)), _exp_shear(d.q)))
         assert reconstruct(d) == product
 
 
@@ -362,16 +360,16 @@ def _count_products(monkeypatch, counts):
 def test_decompose_works_in_kernel_coordinates(monkeypatch):
     # Neither direction calls kernel_coordinates, takes a power or multiplies two
     # multi-term 3-variable polynomials.
+    # No module but the entry points imports kernel_coordinates
+    # (test_only_the_entry_points_read_kernel_coordinates_off_xyz).
     import cremona3.derivation
-    import cremona3.nagata
 
     rng = random.Random(103)
     members = [reconstruct(d) for d in _wide_triples(rng, 6)]
     members += [reconstruct(random_decomposition(rng)) for _ in range(6)]
     members.append(OBJS.h)
     counts = {}
-    for module in (cremona3.derivation, cremona3.nagata):
-        _count_calls(monkeypatch, module, "kernel_coordinates", counts)
+    _count_calls(monkeypatch, cremona3.derivation, "kernel_coordinates", counts)
     _count_products(monkeypatch, counts)
     for f in members:
         assert reconstruct(decompose(f)) == f
@@ -442,28 +440,6 @@ def test_accepted_decompose_costs_three_applies(monkeypatch):
         with pytest.raises(NotInCentralizer):
             decompose(_near_miss(f, "cy", Fraction(2, 7)))
         assert counts == {"apply": 1}
-
-
-# -- H membership ----------------------------------------------------------------
-
-
-def test_nagata_is_in_H():
-    assert is_in_H(OBJS.h)
-
-
-def test_exp_zD_is_not_in_H():
-    exp_z = PolyMap(OBJS.D.scaled_by(Z).exp_map())
-    assert is_in_centralizer(exp_z)
-    assert not is_in_H(exp_z)
-
-
-def test_identity_and_scalars_are_in_H():
-    assert is_in_H(PolyMap.identity(3))
-    assert is_in_H(PolyMap((-3 * X, -3 * Y, -3 * Z)))
-
-
-def test_shifts_are_not_in_H():
-    assert not is_in_H(PolyMap((X + Z ** 3, Y, Z)))
 
 
 # -- the identity chain ------------------------------------------------------------

@@ -118,6 +118,18 @@ def test_parse_power_past_the_print_limit_exits_3_at_once(capsys):
     assert run(capsys, "parse", "(2*x)^100") == (0, f"{2 ** 100}*x^100\n", "")
 
 
+def test_parse_product_past_the_print_limit_exits_3_at_once(capsys):
+    # Each factor is printable; multiplying the chain out took about a minute
+    # before the formatter refused the result.
+    if sys.get_int_max_str_digits() != 4300:
+        pytest.skip("pins the default limit of 4300 digits")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "parse", "*".join(["(9999999999*x)^400"] * 1000))
+    assert (code, out) == (3, "")
+    assert err == "error: a coefficient exceeds the limit of 4300 digits for printing\n"
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("text", ["{n}*x", "x^{n}", "1/{n}", "(9999999999*x)^500"])
 def test_parse_integers_past_the_digit_limit_exit_3(capsys, text):
     # A literal of 5000 digits on input; a coefficient of 5000 digits on output.

@@ -83,19 +83,6 @@ def test_apply_satisfies_leibniz(images, f, g):
 # -- nilpotency ----------------------------------------------------------------
 
 
-def test_nilpotency_index_of_x():
-    assert D.nilpotency_index(X, 10) == 3
-
-
-def test_nilpotency_index_of_zero():
-    assert D.nilpotency_index(Polynomial.zero(3), 10) == 0
-
-
-def test_nilpotency_index_bound_exceeded():
-    with pytest.raises(BoundExceeded):
-        EULER.nilpotency_index(X, 10)
-
-
 def test_is_locally_nilpotent_shear():
     report = D.is_locally_nilpotent(10)
     assert report.verdict is Nilpotency.LOCALLY_NILPOTENT_UP_TO_BOUND
@@ -137,7 +124,8 @@ def test_is_locally_nilpotent_triangular_degree_growth_is_inconclusive(first, bo
     assert report.verdict is Nilpotency.INCONCLUSIVE
     assert report.witness == (0, bound)
     assert report.reason is None
-    assert triangular.nilpotency_index(X, index) == index
+    edge = triangular.is_locally_nilpotent(index - 1)
+    assert (edge.verdict, edge.witness) == (Nilpotency.INCONCLUSIVE, (0, index - 1))
     full = triangular.is_locally_nilpotent(index)
     assert full.verdict is Nilpotency.LOCALLY_NILPOTENT_UP_TO_BOUND
 

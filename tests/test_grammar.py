@@ -420,6 +420,55 @@ def test_product_past_the_pair_budget_raises_before_multiplying(monkeypatch):
         parse_polynomial("(x+y+z)^43*(x+y+z)^43")
 
 
+def test_product_past_the_print_limit_raises_before_multiplying(monkeypatch):
+    # The coefficients of a product's smallest and largest monomials are
+    # products of the factors' coefficients there; when one cannot be
+    # printed the product is refused, so mul_terms never sees an operand
+    # past the limit, even if a later factor or term would cancel it.
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter has no limit on integer string conversion")
+    bits = []  # the longest operand coefficient of each mul_terms call
+    original = grammar.mul_terms
+
+    def recorded(a, b):
+        bits.append(max(abs(c).bit_length() for c in (*a.values(), *b.values())))
+        return original(a, b)
+
+    monkeypatch.setattr(grammar, "mul_terms", recorded)
+    k = limit // 2 + 1  # 10^k is printable, 10^(2k) is not
+    m = limit // 10 + 1  # nor is 99999^(2m)
+    for text in (
+        "*".join(["(9999999999*x)^400"] * 1000),
+        f"(x + 99999*y)^{m}*(99999*y)^{m}",  # refused at the largest monomial
+        f"(99999*x + y)^{m}*(99999*x)^{m}",  # refused at the smallest monomial
+        f"(1/10*x)^{k}*(1/10*y)^{k}",
+        f"(10*x)^{k}*(10*x)^{k} - (10*x)^{k}*(10*x)^{k}",
+    ):
+        with pytest.raises(DomainError, match=f"exceeds the limit of {limit} digits for printing"):
+            parse_polynomial(text)
+    assert bits and max(bits) * 3010299 // 10**7 < limit
+    if limit == 4300:
+        # 99999^200 has 1000 digits: four factors multiply, the fifth is refused.
+        bits.clear()
+        with pytest.raises(DomainError, match="for printing"):
+            parse_polynomial("*".join(["(99999*x)^200"] * 10))
+        assert [b // 3322 for b in bits if b > 17] == [1, 2, 3]
+
+
+def test_products_within_the_print_limit_are_computed():
+    assert parse_polynomial("(9999999999*x)^400*(1/9999999999*y)^400") == X ** 400 * Y ** 400
+    assert parse_polynomial("(9999999999*x)^400*(1/9999999999*x)^400") == X ** 800
+    assert parse_polynomial("(9999999999*x)^400*(9999999999*x)^1") == 9999999999 ** 401 * X ** 401
+    assert parse_polynomial("(2*x)^1000*(3*y + 1)^100") == (2 * X) ** 1000 * (3 * Y + 1) ** 100
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        # Reduced before it is judged: the denominators cancel across factors.
+        k = limit // 2
+        text = f"(10*x)^{k}*(1/10*y)^{k}*(10*z)^{k}*(1/10)^{k}"
+        assert parse_polynomial(text) == X ** k * Y ** k * Z ** k
+
+
 def test_products_within_the_pair_budget_are_computed():
     s = X + Y + Z
     assert parse_polynomial("(x+y+z)^10*(x+y+z)^10") == s ** 20

@@ -8,16 +8,13 @@ import pytest
 from cremona3 import (
     DimensionMismatch,
     DomainError,
-    NotInKerEKerD,
     NotMonomialInK,
     PolyMap,
     Polynomial,
     TorusElement,
     character_lambda,
     commutes,
-    commutes_with_weight_scaling,
     compose,
-    f2_element,
     from_kernel_coordinates,
     is_in_K,
     k_monomial,
@@ -27,12 +24,12 @@ from cremona3 import (
     standard_objects,
     torus_conjugate,
     variables,
-    H_WEIGHTS,
 )
 from cremona3.errors import InvalidGenerator
 from cremona3.verify import random_kernel_polynomial, random_nonzero_rational, random_torus
 
 X, Y, Z = variables(3)
+Z2, P = variables(2)  # the kernel coordinates
 HALF = Fraction(1, 2)
 OBJS = standard_objects()
 
@@ -62,50 +59,44 @@ def test_standard_objects_are_shared():
     assert standard_objects() is OBJS
 
 
-# -- F2 elements ----------------------------------------------------------------
-
-
-def test_f2_element_cubic_shift():
-    assert f2_element(Z ** 3) == PolyMap((X + Z ** 3, Y, Z))
-
-
-def test_f2_element_zero_is_identity():
-    assert f2_element(Polynomial.zero(3)).is_identity()
-
-
-def test_f2_element_rejects_y():
-    with pytest.raises(NotInKerEKerD):
-        f2_element(Y)
-
-
 # -- K membership ----------------------------------------------------------------
 
 
 def test_p_is_in_K():
-    assert is_in_K(OBJS.p)
+    assert is_in_K(P)
 
 
 def test_p_squared_z_squared_is_in_K():
-    assert is_in_K(OBJS.p ** 2 * Z ** 2)
+    assert is_in_K(Z2 ** 2 * P ** 2)
+    assert is_in_K(-HALF * Z2 ** 2 * P ** 2 + 3 * P)
 
 
 def test_p_times_z_is_not_in_K():
-    assert not is_in_K(OBJS.p * Z)
+    assert not is_in_K(Z2 * P)
 
 
-def test_non_kernel_elements_are_not_in_K():
-    assert not is_in_K(Y)
+def test_z_is_not_in_K():
+    assert not is_in_K(Z2)
+    assert not is_in_K(P + Z2)
 
 
 def test_zero_is_in_K():
-    assert is_in_K(Polynomial.zero(3))
+    assert is_in_K(Polynomial.zero(2))
+
+
+def test_K_membership_and_lambda_degree_need_exponents_in_Z_and_P():
+    for f in (OBJS.p, Z, Polynomial.zero(3), Polynomial.variable(0, 1)):
+        with pytest.raises(DimensionMismatch):
+            is_in_K(f)
+        with pytest.raises(DimensionMismatch):
+            lambda_degree(f)
 
 
 def test_k_monomial_expands_to_p_times_powers():
     for k in range(4):
         expanded = from_kernel_coordinates(k_monomial(k))
         assert expanded == OBJS.p * (OBJS.p * Z ** 2) ** k
-        assert is_in_K(expanded)
+        assert is_in_K(k_monomial(k))
 
 
 # -- characters ----------------------------------------------------------------
@@ -180,7 +171,7 @@ def test_torus_conjugate_composes_no_map(monkeypatch):
     for owner, name in (
         (PolyMap, "compose"),
         (cremona3.autgroup, "compose"),
-        (cremona3.nagata, "kernel_coordinates"),
+        (cremona3.nagata, "from_kernel_coordinates"),
     ):
         original = getattr(owner, name)
 
@@ -243,25 +234,22 @@ def test_scale_unipotent_by_two():
 
 
 def test_lambda_degree_of_p():
-    assert lambda_degree(OBJS.p) == 0
+    assert lambda_degree(P) == 0
 
 
 def test_lambda_degree_of_scaled_monomial():
-    assert lambda_degree(-HALF * OBJS.p ** 2 * Z ** 2) == 1
+    assert lambda_degree(-HALF * Z2 ** 2 * P ** 2) == 1
 
 
 def test_lambda_degree_rejects_mixed_monomials():
     with pytest.raises(NotMonomialInK):
-        lambda_degree(OBJS.p + OBJS.p ** 2 * Z ** 2)
+        lambda_degree(P + Z2 ** 2 * P ** 2)
 
 
 def test_lambda_degree_rejects_non_K_monomials():
-    with pytest.raises(NotMonomialInK):
-        lambda_degree(Z)
-    with pytest.raises(NotMonomialInK):
-        lambda_degree(Polynomial.zero(3))
-    with pytest.raises(NotMonomialInK):
-        lambda_degree(Y)
+    for c in (Z2, Z2 * P, Polynomial.zero(2)):
+        with pytest.raises(NotMonomialInK):
+            lambda_degree(c)
 
 
 # -- subgroup containment and weights --------------------------------------------
@@ -272,7 +260,7 @@ def test_subgroup_elements_commute_with_the_shear():
     h_prime = OBJS.h_prime
     members = [
         PolyMap((3 * X, 3 * Y, 3 * Z)),
-        f2_element(Z ** 4 - 2 * Z),
+        PolyMap((X + Z ** 4 - 2 * Z, Y, Z)),
         exp_of_kernel(from_kernel_coordinates(random_kernel_polynomial(rng, 3))),
         exp_of_kernel(OBJS.p * (OBJS.p * Z ** 2) ** 2),
     ]
@@ -284,7 +272,6 @@ def test_K_elements_commute_with_the_weight_torus():
     rng = random.Random(19)
     for k in range(3):
         u = exp_of_kernel(from_kernel_coordinates(k_monomial(k)) * random_nonzero_rational(rng))
-        assert commutes_with_weight_scaling(u, H_WEIGHTS)
         for _ in range(5):
             a = random_nonzero_rational(rng)
             s_a = PolyMap((a ** 3 * X, a * Y, (Fraction(1) / a) * Z))

@@ -229,3 +229,16 @@ def test_exactpoly_is_the_only_module_that_sums_term_maps():
                 combiners.add(path.stem)
     assert importers == {"exactpoly"}
     assert combiners == set()
+
+
+def test_only_the_entry_points_read_kernel_coordinates_off_xyz():
+    # The (x, y, z) -> (Z, P) readers are imported by the package root, the
+    # centralizer splitting, the command line and the verification suite
+    # only: the Nagata layer takes its exponents in (Z, P).
+    readers = set()
+    for path in Path(termops.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if {alias.name for alias in node.names} & {"kernel_coordinates", "_read_off"}:
+                    readers.add(path.stem)
+    assert readers == {"__init__", "centralizer", "cli", "verify"}
