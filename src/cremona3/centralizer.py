@@ -14,8 +14,10 @@ every i, which for D = (y, z, 0) reads D(f1) = f2, D(f2) = f3, D(f3) = 0
 (see ``is_in_centralizer``).  Both directions of the splitting work in
 kernel coordinates (Z, P), where q and w have a few terms: ``decompose``
 reads them off the y = 0 slice of two kernel elements (exact, by the
-lemma in ``kernel_coordinates``), and ``reconstruct`` expands q once and
-multiplies the three factors out in closed form.
+lemma in ``kernel_coordinates``) in one pass over the integer pair of
+f2 and one over f1's, forming neither element, and then w is one product
+and one sum in (Z, P); ``reconstruct`` expands q once and multiplies the
+three factors out in closed form.
 
 ``decompose`` accepts raw maps (the one place raw maps are accepted)
 because commutation with h' is directly checkable.  A map that commutes
@@ -29,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._termops import mul_terms
 from .autgroup import PolyMap
 from .derivation import _Z_SHIFT, _read_off
 from .errors import (
@@ -36,9 +39,9 @@ from .errors import (
     MalformedCentralizerElement,
     NotInCentralizer,
 )
-from .exactpoly import Polynomial
+from .exactpoly import Polynomial, _sum
 from .grammar import format_polynomial
-from .nagata import _scaled_shear, standard_objects
+from .nagata import _Y, _scaled_shear, standard_objects
 
 
 @dataclass(frozen=True)
@@ -92,9 +95,6 @@ def is_in_centralizer(f: PolyMap) -> bool:
     return D.apply(f1) == f2 and D.apply(f2) == f3 and D.apply(f3).is_zero()
 
 
-_KERNEL_Z = Polynomial.variable(0, 2)
-
-
 def decompose(f: PolyMap) -> Decomposition:
     """Split a commuting map into (alpha, w, q); inverse of reconstruct.
 
@@ -107,14 +107,19 @@ def decompose(f: PolyMap) -> Decomposition:
     (D(f1) = f2, D(f2) = f3 = a z): z D(q_raw) = D(f2 - a y) = 0 and
     D(residue) = f2 - a y - q_raw z = 0.  Each is c(z, p) for the c read
     off its y-free terms (exact, see ``kernel_coordinates``; a term
-    x^i z^j with j < i cannot occur, as ker D = C[z, p]); then q and w
-    are computed in (Z, P).
+    x^i z^j with j < i cannot occur, as ker D = C[z, p]).  Neither is
+    formed.  f2 - a y is divisible by z iff f2's y coefficient is a and
+    every other term holds z; then the y-free terms of q_raw are f2's with
+    z lowered once.  q_raw y has no y-free term, so those of the residue
+    are f1's but for the x term, which the read-off skips (j < i).  So
+    each read is one pass over the integer pair of f2 or f1, scaled by
+    1/a, and w = c - q^2 Z/2, for the c of the residue, is one product
+    and one sum in (Z, P).
     """
     if f.dimension != 3:
         raise DimensionMismatch(f"decompose needs dimension 3, got {f.dimension}")
     if not is_in_centralizer(f):
         raise NotInCentralizer("the map does not commute with the degree-one shear")
-    x, y = (Polynomial.variable(i, 3) for i in range(2))
     f1, f2, f3 = f.components
 
     if f3.exponents() != ((0, 0, 1),):
@@ -123,20 +128,25 @@ def decompose(f: PolyMap) -> Decomposition:
         )
     scale = f3.coefficient((0, 0, 1))
 
-    q_raw = (f2 - y * scale).divided_by_power(2, 1)
-    if q_raw is None:
+    den, terms = f2._den, f2._terms
+    if terms.get(_Y, 0) * scale.denominator != scale.numerator * den or not all(
+        key >> _Z_SHIFT for key in terms if key != _Y
+    ):
         raise MalformedCentralizerElement("second component minus alpha*y is not divisible by z")
-    residue = f1 - x * scale - q_raw * y
 
-    q = _read_off(q_raw)[0] / scale
-    shift = _read_off(residue)[0] / scale - q * q * _KERNEL_Z / 2
+    # 1/scale = b/a with a > 0 scales both reads inside their sums.
+    a, b = abs(scale.numerator), scale.denominator if scale.numerator > 0 else -scale.denominator
+    q_den, q_terms = _sum([(b, _read_off(den, terms, 1)[0])], a)
+    qqz = mul_terms(q_terms, {key + 1: c for key, c in q_terms.items()})  # Z is the packed key 1
+    residue = _read_off(f1._den, f1._terms)[0]
+    shift = Polynomial._make(2, *_sum([(b, residue), (-a, (2 * q_den * q_den, qqz))], a))
     if not shift.depends_only_on({0}):
         raise MalformedCentralizerElement(
             "shift component is not a polynomial in z alone"
         )
     # w(Z) -> w(z): Z^k is the packed key k, z^k is k << _Z_SHIFT.
     w = Polynomial._make(3, shift._den, {k << _Z_SHIFT: c for k, c in shift._terms.items()})
-    return Decomposition(alpha=scale, w=w, q=q)
+    return Decomposition(alpha=scale, w=w, q=Polynomial._make(2, q_den, q_terms))
 
 
 def reconstruct(d: Decomposition) -> PolyMap:

@@ -213,32 +213,38 @@ def kernel_coordinates(f: Polynomial) -> Polynomial:
     if f.dimension != 3:
         raise DimensionMismatch(f"kernel coordinates need dimension 3, got {f.dimension}")
     d_a = nagata_derivation().apply(f).degree_in(0)
-    c, d_b = _read_off(f)
+    c, d_b = _read_off(f._den, f._terms)
     if d_a >= max(d_b, 0):
         raise NotInKernelRing(
             f"the x^{d_a} coefficient involves y, so the input is not in the kernel ring"
         )
     if d_b >= 0:
         raise NotInKernelRing(f"the x^{d_b} coefficient is not divisible by z^{d_b}")
-    return c
+    return Polynomial._make(2, *c)
 
 
 _Z_SHIFT = 2 * EXPONENT_BITS  # bit offset of z in a packed monomial of (x, y, z)
 
 
-def _read_off(g: Polynomial) -> tuple[Polynomial, float]:
-    # c(Z, P) from the y-free terms of g = c(z, p), x^i z^j -> Z^(j-i) P^i, and
-    # the largest i of a y-free term with j < i (-inf if none), which has no image.
+def _read_off(den: int, terms: dict, lower: int = 0) -> tuple[tuple[int, dict], float]:
+    """The canonical pair of c(Z, P) read off the y-free terms of terms / den,
+    x^i z^j -> Z^(j-i) P^i with j first lowered by ``lower``, and the largest
+    i of a y-free term with j < i (-inf if none), which has no image.
+
+    Exact when those are the y-free terms of c(z, p) z^lower, by the lemma
+    in ``kernel_coordinates``; ``centralizer.decompose`` reads q off f2 = a (y + q z)
+    with ``lower`` = 1.
+    """
     out = {}
     d_b = MINUS_INFINITY
-    for key, c in g._terms.items():
+    for key, c in terms.items():
         if not (key >> EXPONENT_BITS) & FIELD_MASK:
-            i, j = key & FIELD_MASK, key >> _Z_SHIFT
+            i, j = key & FIELD_MASK, (key >> _Z_SHIFT) - lower
             if j < i:
                 d_b = max(d_b, i)
             else:
                 out[(j - i) | (i << EXPONENT_BITS)] = c
-    return Polynomial._make(2, *normalize(g._den, out)), d_b
+    return normalize(den, out), d_b
 
 
 def from_kernel_coordinates(c: Polynomial) -> Polynomial:

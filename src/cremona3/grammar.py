@@ -25,6 +25,11 @@ budgets, checked before the work they bound, raise ``DomainError``:
 ``MAX_NESTING`` on parentheses and unary minus, and the printable digits
 of the coefficients of a power's or a product's smallest and largest
 monomials (so ``(2*x)^20000 - (2*x)^20000`` is refused though it cancels).
+A product by a bare monomial on the right (``x``, ``-y^2``, coefficient
++-1 over 1) is not judged, since it changes no coefficient: such a
+product of a sum that cannot be printed, as ``(1/a + 1/b)*x`` for
+coprime a and b of 2,200 digits, parses as the sum does, and formatting
+it raises the ``DomainError``.
 """
 
 from __future__ import annotations
@@ -185,7 +190,11 @@ class _Parser:
                     f"a product of {len(terms)} and {len(other)} terms exceeds the "
                     f"pair budget {MAX_PRODUCT_PAIRS}"
                 )
-            if self.print_bits and terms and other:
+            # A right factor that is a bare +-1 monomial over 1 only moves the
+            # left factor's keys, so it is not checked.
+            if self.print_bits and terms and other and not (
+                other_den == 1 and len(other) == 1 and abs(next(iter(other.values()))) == 1
+            ):
                 _check_printable_product(den, terms, other_den, other, self.print_bits)
             den, terms = den * other_den, mul_terms(terms, other)
         return den, terms

@@ -28,6 +28,7 @@ from cremona3 import (
     verify_theorem_identities,
 )
 from cremona3.derivation import _read_off
+from cremona3.grammar import format_polynomial
 from cremona3.verify import (
     random_decomposition,
     random_kernel_polynomial,
@@ -185,8 +186,10 @@ def kernel_polynomials_with_large_denominators(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(kernel_polynomials_with_large_denominators())
 def test_read_off_recovers_kernel_coordinates(c):
-    # At y = 0, p = xz: the y-free terms of c(z, p) determine c, and none has j < i.
-    assert _read_off(from_kernel_coordinates(c)) == (c, float("-inf"))
+    # At y = 0, p = xz: the y-free terms of c(z, p) determine c, and none has j < i;
+    # those of c(z, p) z determine c once z is lowered.
+    for g, lower in ((from_kernel_coordinates(c), 0), (from_kernel_coordinates(c) * Z, 1)):
+        assert _read_off(g._den, g._terms, lower) == ((c._den, c._terms), float("-inf"))
 
 
 def test_read_off_rejects_terms_outside_the_kernel_ring():
@@ -294,6 +297,104 @@ def test_shear_removal_leaves_a_pure_shift():
         f = reconstruct(d)
         undo = PolyMap(OBJS.D.scaled_by(-from_kernel_coordinates(d.q)).exp_map())
         assert compose(f, undo) == PolyMap((X + d.w, Y, Z))
+
+
+# -- decompose against the extraction on whole polynomials -------------------------
+
+
+def _y_free_read(g):
+    # c(Z, P) from the y-free terms x^i z^j (j >= i) of g, x^i z^j -> Z^(j-i) P^i.
+    return Polynomial(2, {(j - i, i): c for (i, k, j), c in g.terms.items() if not k and j >= i})
+
+
+def _reference_decompose(f):
+    # The extraction as polynomial arithmetic in (x, y, z): q_raw = (f2 - a y)/z and
+    # residue = f1 - a x - q_raw y are formed and read off, then q and w follow in (Z, P).
+    import cremona3.centralizer
+
+    if not cremona3.centralizer.is_in_centralizer(f):
+        raise NotInCentralizer("the map does not commute with the degree-one shear")
+    f1, f2, f3 = f.components
+    if f3.exponents() != ((0, 0, 1),):
+        raise MalformedCentralizerElement(
+            f"third component must be a nonzero multiple of z, got {format_polynomial(f3)}"
+        )
+    a = f3.coefficient((0, 0, 1))
+    q_raw = (f2 - Y * a).divided_by_power(2, 1)
+    if q_raw is None:
+        raise MalformedCentralizerElement("second component minus alpha*y is not divisible by z")
+    residue = f1 - X * a - q_raw * Y
+    q = _y_free_read(q_raw) / a
+    shift = _y_free_read(residue) / a - q * q * Q_Z / 2
+    if not shift.depends_only_on({0}):
+        raise MalformedCentralizerElement("shift component is not a polynomial in z alone")
+    return Decomposition(a, shift.substitute([Z, Polynomial.zero(3)]), q)
+
+
+def _outcome(split, f):
+    try:
+        return split(f)
+    except Exception as error:  # the type and message are the outcome
+        return type(error), str(error)
+
+
+def _assert_same_outcomes(maps):
+    outcomes = []
+    for f in maps:
+        expected = _outcome(_reference_decompose, f)
+        assert _outcome(decompose, f) == expected, str(f)
+        outcomes.append(expected if isinstance(expected, tuple) else Decomposition)
+    return outcomes
+
+
+COMMUTING_NON_AUTOMORPHISMS = [
+    PolyMap((Polynomial.zero(3),) * 3),
+    PolyMap((Polynomial.one(3), Polynomial.zero(3), Polynomial.zero(3))),
+    PolyMap((X * Z, Y * Z, Z ** 2)),
+    PolyMap((X + OBJS.p, Y, Z)),
+]
+
+
+def test_decompose_matches_the_polynomial_extraction():
+    rng = random.Random(113)
+    triples = [random_decomposition(rng) for _ in range(150)] + _wide_triples(rng, 150)
+    members = [reconstruct(d) for d in triples] + [OBJS.h]
+    misses = [_near_miss(f, rng.choice(("cy", "cz2")), Fraction(1, 3)) for f in members[::10]]
+    outcomes = _assert_same_outcomes(members + misses + COMMUTING_NON_AUTOMORPHISMS)
+    assert outcomes[: len(members)] == [Decomposition] * len(members)
+    assert [kind for kind, _ in outcomes[len(members) :]] == [NotInCentralizer] * len(misses) + [
+        MalformedCentralizerElement
+    ] * 4
+    assert all(decompose(reconstruct(d)) == d for d in triples)
+
+
+def test_decompose_matches_the_polynomial_extraction_past_membership(monkeypatch):
+    # With membership switched off in both, the extraction alone is compared on
+    # maps that do not commute: y coefficients of f2 off alpha, f2 terms without z
+    # (constants and powers of x among them), y-free terms x^i z^j with j < i and
+    # terms in P, to reach every branch.
+    import cremona3.centralizer
+
+    monkeypatch.setattr(cremona3.centralizer, "is_in_centralizer", lambda f: True)
+    rng = random.Random(127)
+    maps = list(COMMUTING_NON_AUTOMORPHISMS)
+    for d in _wide_triples(rng, 100):
+        f1, f2, f3 = reconstruct(d).components
+        g = random_polynomial(rng, max_degree=4, max_terms=4)
+        kind = rng.randrange(5)
+        if kind == 0:
+            f1 = f1 + g
+        elif kind == 1:
+            f2 = f2 + Z * g
+        elif kind == 2:
+            f2 = f2 + Y * rng.choice((0, 1, Fraction(-1, 2)))
+        elif kind == 3:
+            f2 = f2 + rng.choice((1, X, X ** 3 / 3, X * Y))
+        else:
+            f2 = f2 + g
+        maps.append(PolyMap((f1, f2, f3 * rng.choice((1, 1, 1, 1, 2)) + rng.choice((0, 0, 0, Y)))))
+    reached = {o if o is Decomposition else o[1].split()[0] for o in _assert_same_outcomes(maps)}
+    assert reached == {Decomposition, "third", "second", "shift"}
 
 
 # -- cost structure of the verdicts ----------------------------------------------
@@ -440,6 +541,50 @@ def test_accepted_decompose_costs_three_applies(monkeypatch):
         with pytest.raises(NotInCentralizer):
             decompose(_near_miss(f, "cy", Fraction(2, 7)))
         assert counts == {"apply": 1}
+
+
+def test_decompose_does_no_polynomial_arithmetic_in_xyz_after_membership(monkeypatch):
+    # After the membership test the extraction reads integer pairs: no arithmetic
+    # operator sees a 3-variable polynomial (and nothing substitutes at all,
+    # test_decompose_substitutes_nothing).
+    import cremona3.centralizer
+
+    calls = []
+
+    def recorded(name):
+        original = getattr(Polynomial, name)
+
+        def wrapper(*args):
+            calls.append((name, {a.dimension for a in args if isinstance(a, Polynomial)}))
+            return original(*args)
+
+        monkeypatch.setattr(Polynomial, name, wrapper)
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+                 "__rmul__", "__truediv__", "__pow__"):
+        recorded(name)
+    membership = cremona3.centralizer.is_in_centralizer
+
+    def membership_then_reset(f):
+        verdict = membership(f)
+        calls.clear()
+        return verdict
+
+    monkeypatch.setattr(cremona3.centralizer, "is_in_centralizer", membership_then_reset)
+    rng = random.Random(131)
+    members = [reconstruct(d) for d in _wide_triples(rng, 6)]
+    members += [reconstruct(random_decomposition(rng)) for _ in range(6)] + [OBJS.h]
+    for f in members + [PolyMap((X + OBJS.p, Y, Z))]:
+        calls.clear()
+        try:
+            decompose(f)
+        except MalformedCentralizerElement:
+            pass
+        assert [call for call in calls if 3 in call[1]] == []
+    # The wrappers record: the same operators on a member's components do show.
+    f1, f2, _ = members[0].components
+    f1 - f2 * 2
+    assert [name for name, dims in calls if 3 in dims] == ["__mul__", "__sub__"]
 
 
 # -- the identity chain ------------------------------------------------------------

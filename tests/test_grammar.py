@@ -456,6 +456,41 @@ def test_product_past_the_print_limit_raises_before_multiplying(monkeypatch):
         assert [b // 3322 for b in bits if b > 17] == [1, 2, 3]
 
 
+def test_products_by_a_bare_monomial_are_not_judged(monkeypatch):
+    # x, -y^2 or z on the right changes no coefficient; any other factor is judged.
+    calls = []
+    original = grammar._check_printable_product
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(grammar, "_check_printable_product", counted)
+    for text in ("3/5*x^2*y*z", "(x + 1/3*y)*-y^2", "-7*z^3*x*1", "(1/2*x)^3*y^2"):
+        assert parse_polynomial(text) == parse_polynomial(text.replace("*", "*(1)*"))
+    calls.clear()
+    parse_polynomial("3/5*x^2*y*z + (x + 1/3*y)*-y^2 - 7*z^3*x*1")
+    assert calls == []
+    for text in ("x*2", "x*(1/2)", "x*(y + z)", "2*(x*y + 1)", "x*-3*y"):
+        calls.clear()
+        parse_polynomial(text)
+        assert len(calls) == 1, text
+
+
+def test_a_bare_monomial_times_an_unprintable_sum_raises_when_printed():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter has no limit on integer string conversion")
+    a = 10 ** (limit // 2 + 100) + 1
+    b = a + 2  # coprime odd neighbours: 1/a + 1/b has a denominator of about limit + 200 digits
+    p = parse_polynomial(f"(1/{a} + 1/{b})*x")
+    assert p == (Fraction(1, a) + Fraction(1, b)) * X
+    with pytest.raises(DomainError, match=f"exceeds the limit of {limit} digits for printing"):
+        format_polynomial(p)
+    with pytest.raises(DomainError, match=f"exceeds the limit of {limit} digits for printing"):
+        parse_polynomial(f"(1/{a} + 1/{b})*2*x")
+
+
 def test_products_within_the_print_limit_are_computed():
     assert parse_polynomial("(9999999999*x)^400*(1/9999999999*y)^400") == X ** 400 * Y ** 400
     assert parse_polynomial("(9999999999*x)^400*(1/9999999999*x)^400") == X ** 800
