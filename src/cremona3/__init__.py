@@ -20,8 +20,6 @@ from .autgroup import (
     TriangularGenerator,
     commutes,
     compose,
-    evaluate,
-    invert_word,
     parse_poly_map,
 )
 from .centralizer import (
@@ -59,9 +57,7 @@ from .errors import (
 )
 from .exactpoly import (
     MINUS_INFINITY,
-    ExactRational,
     Polynomial,
-    rational,
     variables,
 )
 from .grammar import (

@@ -1,7 +1,7 @@
 """Automorphisms of affine n-space as validated generator words.
 
 A word is a list of generators in functional order (leftmost applied
-last); ``evaluate`` multiplies the word out to an explicit polynomial
+last); ``AutWord.evaluate`` multiplies the word out to an explicit polynomial
 map via substitution.  Composition follows (f o g)(a) = f(g(a)), i.e.
 ``compose(f, g)`` substitutes g's components into f, all of f's
 components in one pass that computes each monomial image once.
@@ -438,10 +438,3 @@ class AutWord:
     def __repr__(self):
         return f"AutWord({self.dimension}, {list(self.factors)!r})"
 
-
-def evaluate(word: AutWord) -> PolyMap:
-    return word.evaluate()
-
-
-def invert_word(word: AutWord) -> AutWord:
-    return word.inverse()

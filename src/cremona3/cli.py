@@ -31,6 +31,7 @@ from .derivation import (
     nagata_derivation,
 )
 from .errors import DomainError, ParseError
+from .exactpoly import _check_dimension
 from .grammar import (
     _check_printable_power,
     _digit_limit,
@@ -72,10 +73,16 @@ def _parse_rational_token(text: str) -> Fraction:
 
 
 def _read_word_file(path: str, dimension: int) -> AutWord:
+    if dimension > 0:  # a dimension below 1 keeps the error the empty word gives it
+        _check_dimension(dimension)
     factors = []
     nagata = nagata_derivation()
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, start=1):
+            # surrogateescape decodes each byte that is not UTF-8 to U+DC80..U+DCFF.
+            bad = re.search("[\udc80-\udcff]", raw)
+            if bad:
+                raise ParseError("word file is not valid UTF-8", lineno, bad.start() + 1)
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -6,9 +6,9 @@ pass over f's packed terms (``exactpoly._derive``), with one integer
 accumulator and one normalization; everything here that iterates D
 (``is_locally_nilpotent``, ``exp_map``) runs on it.  Local nilpotency
 (every polynomial is killed by some iterate) makes the exponential
-series terminate, giving a polynomial automorphism;
-``formal_flow`` adjoins a formal parameter t as a fresh last variable
-and returns the one-parameter family exp(tD).
+series terminate, giving a polynomial automorphism whose components
+are each one ``exactpoly._sum``; ``formal_flow`` adjoins a formal
+parameter t as a fresh last variable and returns the family exp(tD).
 
 ``kernel_coordinates`` is specialized to the fixed three-variable
 derivation with images (y, z, 0): its kernel is the polynomial ring in z
@@ -20,7 +20,6 @@ lie in the kernel ring).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -29,7 +28,7 @@ from typing import Optional
 
 from ._termops import EXPONENT_BITS, FIELD_MASK, normalize
 from .errors import BoundExceeded, DimensionMismatch, NotInKernelRing
-from .exactpoly import MINUS_INFINITY, Polynomial, _derive
+from .exactpoly import MINUS_INFINITY, Polynomial, _derive, _sum
 
 #: Iteration budget used when no explicit bound is passed.  The
 #: derivations this package manipulates terminate within three steps.
@@ -131,23 +130,26 @@ class Derivation:
         """The exponential automorphism (sum_k D^k(x_i)/k!, ...).
 
         Each series must terminate within the bound, else BoundExceeded.
+        Component i is one ``_sum`` of the pairs (den * k!, terms) of D^k(x_i).
         """
+        n = self.dimension
         components = []
-        for i in range(self.dimension):
-            g = Polynomial.variable(i, self.dimension)
-            acc = g
-            k = 0
+        for i in range(n):
+            g = Polynomial.variable(i, n)
+            series = [(1, (1, g._terms))]
+            k = factorial = 1
             while True:
                 g = self.apply(g)
                 if g.is_zero():
                     break
-                k += 1
                 if k > bound:
                     raise BoundExceeded(
                         f"exponential series for variable {i} did not terminate within {bound} steps"
                     )
-                acc = acc + g * Fraction(1, math.factorial(k))
-            components.append(acc)
+                series.append((1, (g._den * factorial, g._terms)))
+                k += 1
+                factorial *= k
+            components.append(Polynomial._make(n, *_sum(series)))
         return tuple(components)
 
     def formal_flow(self, bound: int = DEFAULT_BOUND) -> tuple[Polynomial, ...]:

@@ -8,15 +8,17 @@ are equal exactly when dimension and pair agree.  A constant polynomial
 also equals, and hashes like, its ``Fraction`` value.
 
 ``terms`` is the public read-only view with exponent tuples and
-``fractions.Fraction`` coefficients (``ExactRational``), built when
-accessed.  Values are immutable; every operation is a pure function, so
-polynomials can be shared freely between threads.
+``fractions.Fraction`` coefficients, built when accessed.  Values are
+immutable; every operation is a pure function, so polynomials can be
+shared freely between threads.
 
 ``substitute`` and ``PolyMap.compose`` share one routine: a memo local to
 the call holds each monomial image once, as a pair ``(den, terms)``, for
 all the polynomials it substitutes into.  Each result is one ``_sum``, the
-routine that adds term maps over the lcm of their denominators (the parser
-and the shear assembler in ``nagata`` use it too).
+routine that adds term maps over the lcm of their denominators (the
+parser, the shear assembler in ``nagata`` and ``Derivation.exp_map`` use
+it too).  ``_derive`` applies a derivation in one pass; ``Derivation.apply``
+and ``partial_derivative`` (the derivation d/dx_i) run on it.
 """
 
 from __future__ import annotations
@@ -40,20 +42,16 @@ from ._termops import (
     scale_terms,
     unpack,
 )
-from .errors import ArityMismatch, DimensionMismatch, IndexOutOfRange
+from .errors import ArityMismatch, DimensionMismatch, DomainError, IndexOutOfRange
 
-ExactRational = Fraction
 Scalar = Union[int, Fraction]
 
 #: Degree of the zero polynomial.
 MINUS_INFINITY = float("-inf")
 
-
-def rational(numerator, denominator=None) -> Fraction:
-    """Coerce to an exact rational; accepts ints, Fractions and strings."""
-    if denominator is None:
-        return Fraction(numerator)
-    return Fraction(numerator, denominator)
+#: Dimension budget: a larger dimension raises DomainError.  Formatting a map
+#: costs about n^3 (n components, n fields per monomial, keys of EXPONENT_BITS*n bits).
+MAX_DIMENSION = 1000
 
 
 def default_variable_names(dimension: int) -> tuple[str, ...]:
@@ -66,7 +64,7 @@ def default_variable_names(dimension: int) -> tuple[str, ...]:
 class Polynomial:
     """Immutable sparse polynomial in ``dimension`` variables."""
 
-    __slots__ = ("_dimension", "_den", "_terms", "_hash")
+    __slots__ = ("_dimension", "_den", "_terms")
 
     def __init__(self, dimension: int, terms=()):
         _check_dimension(dimension)
@@ -81,7 +79,6 @@ class Polynomial:
         self._dimension = dimension
         self._den = den
         self._terms = {key: c.numerator * (den // c.denominator) for key, c in merged.items() if c}
-        self._hash = None
 
     @classmethod
     def _make(cls, dimension: int, den: int, terms: dict) -> "Polynomial":
@@ -90,7 +87,6 @@ class Polynomial:
         obj._dimension = dimension
         obj._den = den
         obj._terms = terms
-        obj._hash = None
         return obj
 
     @classmethod
@@ -251,12 +247,9 @@ class Polynomial:
 
     def __hash__(self):
         # A constant equals its Fraction value, so it must hash like it too.
-        if self._hash is None:
-            if self.is_constant():
-                self._hash = hash(self.constant_term())
-            else:
-                self._hash = hash((self._dimension, self._den, frozenset(self._terms.items())))
-        return self._hash
+        if self.is_constant():
+            return hash(self.constant_term())
+        return hash((self._dimension, self._den, frozenset(self._terms.items())))
 
     def __bool__(self):
         return bool(self._terms)
@@ -282,14 +275,10 @@ class Polynomial:
         return max((key >> shift) & FIELD_MASK for key in self._terms)
 
     def partial_derivative(self, index: int) -> "Polynomial":
-        shift = self._check_index(index)
-        unit = 1 << shift
-        out = {}
-        for key, c in self._terms.items():
-            e = (key >> shift) & FIELD_MASK
-            if e:
-                out[key - unit] = c * e
-        return Polynomial._make(self._dimension, *normalize(self._den, out))
+        self._check_index(index)
+        zero, one = Polynomial.zero(self._dimension), Polynomial.one(self._dimension)
+        # The derivation d/dx_index: its image of x_j is the constant delta_(index, j).
+        return _derive(self, [one if j == index else zero for j in range(self._dimension)])
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Replace variable i by images[i]; a ring homomorphism in self.
@@ -409,6 +398,8 @@ def _derive(f: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
 def _check_dimension(dimension) -> None:
     if not isinstance(dimension, int) or dimension < 1:
         raise DimensionMismatch(f"dimension must be a positive integer, got {dimension!r}")
+    if dimension > MAX_DIMENSION:
+        raise DomainError(f"dimension {dimension} exceeds the limit {MAX_DIMENSION}")
 
 
 def _pack_checked(dimension: int, exps) -> int:
@@ -424,6 +415,7 @@ def _pack_checked(dimension: int, exps) -> int:
 
 @lru_cache(maxsize=None)
 def _cached_variable(index: int, dimension: int) -> Polynomial:
+    _check_dimension(dimension)
     return Polynomial._make(dimension, 1, {1 << (EXPONENT_BITS * index): 1})
 
 

@@ -21,8 +21,6 @@ from cremona3 import (
     TriangularGenerator,
     commutes,
     compose,
-    evaluate,
-    invert_word,
     nagata_derivation,
     nagata_invariant,
     standard_objects,
@@ -230,7 +228,7 @@ def test_substitution_errors_keep_their_types():
 
 def test_invert_exponential_flips_the_scale():
     word = AutWord(3, [ExponentialGenerator(P, D, 1)])
-    inverse = invert_word(word)
+    inverse = word.inverse()
     (factor,) = inverse.factors
     assert isinstance(factor, ExponentialGenerator)
     assert factor.scale == -1
@@ -270,7 +268,7 @@ def test_invert_triangular_back_substitution():
 
 def test_invert_scalar():
     word = AutWord(3, [ScalarGenerator(2, dimension=3)])
-    (factor,) = invert_word(word).factors
+    (factor,) = word.inverse().factors
     assert factor.alpha == Fraction(1, 2)
 
 

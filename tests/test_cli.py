@@ -7,6 +7,7 @@ import pytest
 
 import cremona3._termops
 import cremona3.cli
+import cremona3.exactpoly
 from cremona3 import grammar
 from cremona3._termops import MAX_EXPONENT
 from cremona3.cli import main
@@ -441,6 +442,32 @@ def test_invert_huge_decimal_exponent_exits_3_at_once(tmp_path, capsys, line):
     word = tmp_path / "word.txt"
     word.write_text(line + "\n")
     _exits_3_quickly(capsys, "invert", "--word", str(word))
+
+
+@pytest.mark.parametrize(
+    "data, line, column",
+    [(b"scalar 2\n\xff\n", 2, 1), (b"# caf\xc3\xa9\r\nscalar 2\r\nscalar \xc3(\r\n", 3, 8)],
+)
+def test_invert_word_file_not_utf8_exits_2(tmp_path, capsys, data, line, column):
+    word = tmp_path / "word.txt"
+    word.write_bytes(data)
+    code, out, err = run(capsys, "invert", "--word", str(word))
+    assert (code, out) == (2, "")
+    assert err == f"parse error: word file is not valid UTF-8 (line {line}, column {column})\n"
+
+
+def test_dimension_past_the_budget_exits_3_at_once(tmp_path, capsys):
+    # Both commands cost about n^3 in the dimension alone; 10^9 would exhaust memory.
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    limit = cremona3.exactpoly.MAX_DIMENSION
+    for dim in (str(limit + 1), "1000000000"):
+        for argv in (("parse", "--dim", dim, "x1"), ("invert", "--word", str(empty), "--dim", dim)):
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert time.perf_counter() - start < 1.0
+            assert (code, out, err) == (3, "", f"error: dimension {dim} exceeds the limit {limit}\n")
+    assert run(capsys, "parse", "--dim", str(limit), f"x{limit}") == (0, f"x{limit}\n", "")
 
 
 def test_invert_missing_file_exits_3(tmp_path, capsys):

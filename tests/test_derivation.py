@@ -22,6 +22,7 @@ from cremona3 import (
     partial_derivation,
     variables,
 )
+from cremona3 import derivation, exactpoly
 from cremona3.verify import random_kernel_polynomial, random_nonzero_rational, random_polynomial
 from test_exactpoly import polynomials
 
@@ -162,6 +163,35 @@ def test_exp_map_of_zero_derivation_is_identity():
 def test_exp_map_bound_exceeded():
     with pytest.raises(BoundExceeded):
         EULER.exp_map(8)
+
+
+def test_series_bound_edge_of_the_shear():
+    # x -> y -> z -> 0: the longest series has two nonzero iterates, so 2 is the least bound.
+    x, y, z, t = variables(4)
+    assert D.exp_map(2) == (X + Y + HALF * Z, Y + Z, Z)
+    assert D.formal_flow(2) == (x + t * y + HALF * t ** 2 * z, y + t * z, z)
+    for series in (D.exp_map, D.formal_flow):
+        with pytest.raises(BoundExceeded) as info:
+            series(1)
+        assert str(info.value) == "exponential series for variable 0 did not terminate within 1 steps"
+
+
+def test_exp_map_sums_each_component_once(monkeypatch):
+    # Each component is one _sum of its nonzero iterates; no polynomial is added step by step.
+    expected = (X + P * Y + HALF * P ** 2 * Z, Y + P * Z, Z)
+    sizes = []
+
+    def counting_sum(parts, den=1):
+        sizes.append(len(parts))
+        return exactpoly._sum(parts, den)
+
+    def refuse(self, other):
+        raise AssertionError("exp_map added two polynomials")
+
+    monkeypatch.setattr(derivation, "_sum", counting_sum)
+    monkeypatch.setattr(Polynomial, "__add__", refuse)
+    assert D.scaled_by(P).exp_map() == expected
+    assert sizes == [3, 2, 1]
 
 
 def test_exp_maps_compose_to_identity():

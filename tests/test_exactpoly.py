@@ -18,7 +18,8 @@ from cremona3 import (
     Polynomial,
     variables,
 )
-from cremona3._termops import MAX_EXPONENT, pack
+from cremona3 import exactpoly
+from cremona3._termops import MAX_EXPONENT, derive_terms, pack
 from cremona3.exactpoly import _sum
 from cremona3.verify import random_polynomial
 from oracle import (
@@ -158,6 +159,20 @@ def test_factories_check_the_dimension_like_the_constructor(dimension):
     ):
         with pytest.raises(DimensionMismatch, match="dimension must be a positive integer"):
             build()
+
+
+def test_every_factory_refuses_a_dimension_past_the_budget():
+    limit = exactpoly.MAX_DIMENSION
+    for dimension in (limit + 1, 10**9):
+        for build in (
+            lambda: Polynomial(dimension),
+            lambda: Polynomial.zero(dimension),
+            lambda: Polynomial.constant(dimension, 2),
+            lambda: Polynomial.variable(0, dimension),
+        ):
+            with pytest.raises(DomainError, match=f"dimension {dimension} exceeds the limit {limit}"):
+                build()
+    assert Polynomial.variable(limit - 1, limit).degree_in(limit - 1) == 1
 
 
 def test_equality_is_term_map_equality():
@@ -357,6 +372,21 @@ def test_partial_derivative_index_out_of_range():
         P.partial_derivative(3)
 
 
+def test_partial_derivative_goes_through_derive_terms(monkeypatch):
+    calls = []
+
+    def counting(a, images):
+        calls.append(images)
+        return derive_terms(a, images)
+
+    monkeypatch.setattr(exactpoly, "derive_terms", counting)
+    assert [P.partial_derivative(i) for i in range(3)] == [Z, -Y, X]
+    assert len(calls) == 3
+    with pytest.raises(IndexOutOfRange):
+        P.partial_derivative(-1)
+    assert len(calls) == 3
+
+
 # -- total degree ----------------------------------------------------------
 
 
@@ -415,10 +445,6 @@ def test_extend():
 
 
 def test_constant_helpers():
-    from cremona3 import rational
-
-    assert rational("3/4") == Fraction(3, 4)
-    assert rational(2, 6) == Fraction(1, 3)
     five = Polynomial.constant(3, 5)
     assert five.is_constant() and five.constant_term() == 5
     assert Polynomial.zero(3).is_constant()
