@@ -38,7 +38,6 @@ from .derivation import (
     kernel_coordinates,
     nagata_derivation,
     nagata_invariant,
-    partial_derivation,
 )
 from .errors import (
     ArityMismatch,

@@ -1,10 +1,10 @@
 """Derivations of the polynomial ring and their exponentials.
 
 A derivation is determined by its images of the coordinate functions,
-``D(f) = sum_i D(x_i) * df/dx_i``.  ``apply`` evaluates that sum in one
-pass over f's packed terms (``exactpoly._derive``), with one integer
-accumulator and one normalization; everything here that iterates D
-(``is_locally_nilpotent``, ``exp_map``) runs on it.  Local nilpotency
+``D(f) = sum_i D(x_i) * df/dx_i``.  ``apply`` evaluates that sum with one
+``derive_terms`` pass over f's packed terms and one normalization, on the
+images put over their common denominator once, when D is built; all that
+iterates D (``is_locally_nilpotent``, ``exp_map``) runs on it.  Local nilpotency
 (every polynomial is killed by some iterate) makes the exponential
 series terminate, giving a polynomial automorphism whose components
 are each one ``exactpoly._sum``; ``formal_flow`` adjoins a formal
@@ -24,15 +24,19 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Optional
 
-from ._termops import EXPONENT_BITS, FIELD_MASK, normalize
+from ._termops import EXPONENT_BITS, FIELD_MASK, derive_terms, normalize
 from .errors import BoundExceeded, DimensionMismatch, NotInKernelRing
-from .exactpoly import MINUS_INFINITY, Polynomial, _derive, _sum
+from .exactpoly import MINUS_INFINITY, Polynomial, _sum
 
 #: Iteration budget used when no explicit bound is passed.  The
 #: derivations this package manipulates terminate within three steps.
 DEFAULT_BOUND = 64
+
+#: Pair budget of one ``apply`` in ``exp_map``: terms of the iterate times image terms.
+MAX_SERIES_PAIRS = 100_000
 
 #: Display names for kernel coordinates (z and the invariant quadric).
 KERNEL_VARIABLE_NAMES = ("Z", "P")
@@ -75,6 +79,11 @@ class Derivation:
                 raise DimensionMismatch(
                     f"image {img!r} has dimension {img.dimension}, expected {n}"
                 )
+        # derive_terms' input, set up once; not a field, so ==, hash and repr read the images.
+        common = lcm(*{img._den for img in images})
+        scaled = ((EXPONENT_BITS * i, im._terms, common // im._den) for i, im in enumerate(images))
+        object.__setattr__(self, "_common", common)
+        object.__setattr__(self, "_scaled", tuple(s for s in scaled if s[1]))
 
     @property
     def dimension(self) -> int:
@@ -90,7 +99,8 @@ class Derivation:
             raise DimensionMismatch(
                 f"polynomial dimension {f.dimension} != derivation dimension {self.dimension}"
             )
-        return _derive(f, self.images)
+        terms = derive_terms(f._terms, self._scaled)
+        return Polynomial._make(f._dimension, *normalize(f._den * self._common, terms))
 
     def scaled_by(self, q: Polynomial) -> "Derivation":
         """The derivation q * D."""
@@ -129,16 +139,23 @@ class Derivation:
     def exp_map(self, bound: int = DEFAULT_BOUND) -> tuple[Polynomial, ...]:
         """The exponential automorphism (sum_k D^k(x_i)/k!, ...).
 
-        Each series must terminate within the bound, else BoundExceeded.
-        Component i is one ``_sum`` of the pairs (den * k!, terms) of D^k(x_i).
+        Each series must terminate within the bound, and each ``apply`` stay
+        within MAX_SERIES_PAIRS, else BoundExceeded.  Component i is one
+        ``_sum`` of the pairs (den * k!, terms) of D^k(x_i).
         """
         n = self.dimension
+        image_terms = sum(len(terms) for _, terms, _ in self._scaled)
         components = []
         for i in range(n):
             g = Polynomial.variable(i, n)
             series = [(1, (1, g._terms))]
             k = factorial = 1
             while True:
+                if len(g._terms) * image_terms > MAX_SERIES_PAIRS:
+                    raise BoundExceeded(
+                        f"exponential series for variable {i} exceeds the pair budget "
+                        f"{MAX_SERIES_PAIRS} at step {k}"
+                    )
                 g = self.apply(g)
                 if g.is_zero():
                     break
@@ -163,13 +180,6 @@ class Derivation:
         n = self.dimension
         lifted = Derivation(tuple(img.extend(1) for img in self.images) + (Polynomial.zero(n + 1),))
         return lifted.scaled_by(Polynomial.variable(n, n + 1)).exp_map(bound)[:n]
-
-
-def partial_derivation(index: int, dimension: int) -> Derivation:
-    """The coordinate derivation d/dx_index."""
-    images = [Polynomial.zero(dimension) for _ in range(dimension)]
-    images[index] = Polynomial.one(dimension)
-    return Derivation(tuple(images))
 
 
 @lru_cache(maxsize=1)

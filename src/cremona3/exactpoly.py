@@ -17,8 +17,8 @@ the call holds each monomial image once, as a pair ``(den, terms)``, for
 all the polynomials it substitutes into.  Each result is one ``_sum``, the
 routine that adds term maps over the lcm of their denominators (the
 parser, the shear assembler in ``nagata`` and ``Derivation.exp_map`` use
-it too).  ``_derive`` applies a derivation in one pass; ``Derivation.apply``
-and ``partial_derivative`` (the derivation d/dx_i) run on it.
+it too).  ``partial_derivative`` is one ``derive_terms`` call for d/dx_i,
+whose one nonzero image is the constant 1, as ``Derivation.apply`` is for D.
 """
 
 from __future__ import annotations
@@ -275,10 +275,9 @@ class Polynomial:
         return max((key >> shift) & FIELD_MASK for key in self._terms)
 
     def partial_derivative(self, index: int) -> "Polynomial":
-        self._check_index(index)
-        zero, one = Polynomial.zero(self._dimension), Polynomial.one(self._dimension)
-        # The derivation d/dx_index: its image of x_j is the constant delta_(index, j).
-        return _derive(self, [one if j == index else zero for j in range(self._dimension)])
+        # The derivation d/dx_index: its one nonzero image is the constant 1.
+        terms = derive_terms(self._terms, ((self._check_index(index), {0: 1}, 1),))
+        return Polynomial._make(self._dimension, *normalize(self._den, terms))
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Replace variable i by images[i]; a ring homomorphism in self.
@@ -384,15 +383,6 @@ def _sum(parts, den: int = 1) -> tuple[int, dict]:
     for c, (d, terms) in parts:
         iadd_scaled_terms(acc, terms, c * (common // d))
     return normalize(den * common, acc)
-
-
-def _derive(f: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
-    """sum_i images[i] * df/dx_i over the lcm of the image denominators, normalized once."""
-    used = [(EXPONENT_BITS * i, im) for i, im in enumerate(images) if im._terms]
-    common = lcm(*{im._den for _, im in used})
-    scaled = [(shift, im._terms, common // im._den) for shift, im in used]
-    terms = derive_terms(f._terms, scaled)
-    return Polynomial._make(f._dimension, *normalize(f._den * common, terms))
 
 
 def _check_dimension(dimension) -> None:

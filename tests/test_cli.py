@@ -8,7 +8,7 @@ import pytest
 import cremona3._termops
 import cremona3.cli
 import cremona3.exactpoly
-from cremona3 import grammar
+from cremona3 import derivation, grammar
 from cremona3._termops import MAX_EXPONENT
 from cremona3.cli import main
 
@@ -201,6 +201,17 @@ def test_exp_divergent_series_exits_3(capsys):
     code, _, err = run(capsys, "exp", "--q", "x", "--derivation", "(x, 0, 0)")
     assert code == 3
     assert "error" in err
+
+
+def test_exp_series_past_the_pair_budget_exits_3(capsys):
+    # D^k(x) = c * (x+y+z)^(7k-6): the iterate outgrows the pair budget at step 11,
+    # long before the 64-step bound.
+    code, out, err = run(capsys, "exp", "--q", "1", "--derivation", "((x+y+z)^8, 0, 0)")
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: exponential series for variable 0 exceeds the pair budget "
+        f"{derivation.MAX_SERIES_PAIRS} at step 11\n"
+    )
 
 
 # -- kernel-coords -------------------------------------------------------------

@@ -19,17 +19,17 @@ from cremona3 import (
     kernel_coordinates,
     nagata_derivation,
     nagata_invariant,
-    partial_derivation,
     variables,
 )
 from cremona3 import derivation, exactpoly
+from cremona3._termops import derive_terms
 from cremona3.verify import random_kernel_polynomial, random_nonzero_rational, random_polynomial
 from test_exactpoly import polynomials
 
 X, Y, Z = variables(3)
 HALF = Fraction(1, 2)
 D = nagata_derivation()
-E = partial_derivation(0, 3)
+E = Derivation((Polynomial.one(3), Polynomial.zero(3), Polynomial.zero(3)))
 P = nagata_invariant()
 
 EULER = Derivation((X, Polynomial.zero(3), Polynomial.zero(3)))  # x d/dx
@@ -192,6 +192,54 @@ def test_exp_map_sums_each_component_once(monkeypatch):
     monkeypatch.setattr(Polynomial, "__add__", refuse)
     assert D.scaled_by(P).exp_map() == expected
     assert sizes == [3, 2, 1]
+
+
+def test_exp_map_never_applies_past_the_pair_budget(monkeypatch):
+    # Each apply in exp_map costs len(iterate) * (image terms) term pairs; one past
+    # the budget raises before derive_terms runs, whatever the host's speed.
+    costs = []
+
+    def recording(a, images):
+        costs.append(len(a) * sum(len(image) for _, image, _ in images))
+        return derive_terms(a, images)
+
+    monkeypatch.setattr(derivation, "derive_terms", recording)
+    s = X + Y + Z
+    with pytest.raises(BoundExceeded, match="pair budget 100000 at step 11"):
+        Derivation((s ** 8, Polynomial.zero(3), Polynomial.zero(3))).exp_map()
+    assert len(costs) == 10
+    assert max(costs) <= derivation.MAX_SERIES_PAIRS
+    # A series that stays under the budget keeps its step-bound message.
+    costs.clear()
+    with pytest.raises(BoundExceeded, match="did not terminate within 64 steps"):
+        Derivation((s ** 2, Polynomial.zero(3), Polynomial.zero(3))).exp_map()
+    assert max(costs) <= derivation.MAX_SERIES_PAIRS
+
+
+def test_apply_does_no_per_call_setup(monkeypatch):
+    # The common denominator of the images is taken once, when D is built.
+    half = Derivation((HALF * Y, Fraction(2, 3) * Z, Polynomial.zero(3)))
+
+    def refuse(*args):
+        raise AssertionError("apply took an lcm")
+
+    monkeypatch.setattr(derivation, "lcm", refuse)
+    monkeypatch.setattr(exactpoly, "lcm", refuse)
+    assert D.apply(P).is_zero()
+    assert half.apply(X * Y) == HALF * Y ** 2 + Fraction(2, 3) * X * Z
+    assert E.apply(X ** 3) == 3 * X ** 2
+
+
+def test_derivation_equality_hash_and_repr_read_the_images():
+    zero = Polynomial.zero(3)
+    built = [Derivation((Y, Z, zero)), D, Derivation([Y, Z, zero])]
+    for other in built:
+        assert other == D
+        assert hash(other) == hash(D)
+        assert repr(other) == (
+            "Derivation(images=(Polynomial(3, 'y'), Polynomial(3, 'z'), Polynomial(3, '0')))"
+        )
+    assert Derivation((Y, zero, zero)) != D
 
 
 def test_exp_maps_compose_to_identity():

@@ -387,6 +387,15 @@ def test_partial_derivative_goes_through_derive_terms(monkeypatch):
     assert len(calls) == 3
 
 
+def test_partial_derivative_builds_no_constant_polynomial(monkeypatch):
+    def refuse(cls, dimension, value):
+        raise AssertionError("partial_derivative built a constant polynomial")
+
+    monkeypatch.setattr(Polynomial, "constant", classmethod(refuse))
+    assert [P.partial_derivative(i) for i in range(3)] == [Z, -Y, X]
+    assert (P * Fraction(1, 3)).partial_derivative(1) == Fraction(-1, 3) * Y
+
+
 # -- total degree ----------------------------------------------------------
 
 

@@ -231,6 +231,25 @@ def test_exactpoly_is_the_only_module_that_sums_term_maps():
     assert combiners == set()
 
 
+def test_a_derivation_is_applied_in_two_places_only():
+    # derive_terms is imported by exactpoly (partial_derivative) and derivation
+    # (Derivation.apply) alone, called once in each, and no _derive wrapper
+    # comes back as a second path to it.
+    importers, callers, wrappers = set(), [], set()
+    for path in Path(termops.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if "derive_terms" in {alias.name for alias in node.names}:
+                    importers.add(path.stem)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "derive_terms":
+                callers.append(path.stem)
+            elif isinstance(node, ast.FunctionDef) and node.name == "_derive":
+                wrappers.add(path.stem)
+    assert importers == {"exactpoly", "derivation"}
+    assert sorted(callers) == ["derivation", "exactpoly"]
+    assert wrappers == set()
+
+
 def test_only_the_entry_points_read_kernel_coordinates_off_xyz():
     # The (x, y, z) -> (Z, P) readers are imported by the package root, the
     # centralizer splitting, the command line and the verification suite
