@@ -6,6 +6,17 @@ map via substitution.  Composition follows (f o g)(a) = f(g(a)), i.e.
 ``compose(f, g)`` substitutes g's components into f, all of f's
 components in one pass that computes each monomial image once.
 
+Evaluation (``AutWord.evaluate``) multiplies each run of affine factors
+out on integer forms, so a word of affine factors alone substitutes
+nothing, and folds the runs from the right, so an affine run only
+recombines the components of the product to its right; folded in from
+the left it would substitute its dense linear forms into the whole
+product.  A run of other factors folds from its left end: from the right
+it would substitute the growing product into each generator, raised to
+the generator's degree, and a product that ends in a translation is
+dense (two degree-13 kernel exponentials after a translation took
+seconds that way, against milliseconds from the left).
+
 Validity is enforced when a generator is constructed, never re-derived
 from a raw map: affine parts must be invertible, triangular components
 must have the shape c_i*x_i + h_i(x_{i+1}..x_n) with c_i != 0, exponents
@@ -20,15 +31,17 @@ generator holds the canonical integer form ``(den, M, t)`` of x -> A x + b
 and its inverse's form; both come from one fraction-free elimination
 (``_matrix_inverse``) at validation, so ``inverse()`` swaps the two forms
 and ``to_map()`` normalizes one pair per row.  A triangular generator
-reads its diagonal and tails off the packed term maps of its components,
-and its inverse substitutes only the non-constant tails.
+reads its diagonal, as canonical integer pairs ``(numerator,
+denominator)``, and its tails off the packed term maps of its
+components; its inverse swaps each pair and substitutes only the
+non-constant tails.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
+from itertools import chain, groupby
 from math import gcd, lcm
 from operator import or_
 from typing import Iterable, Optional, Sequence
@@ -155,6 +168,33 @@ def _affine_form(den: int, matrix, shift) -> tuple:
     return den // g, tuple(tuple(v // g for v in row) for row in matrix), tuple(v // g for v in shift)
 
 
+def _compose_forms(outer, inner) -> tuple:
+    """The canonical form of ``outer o inner`` for affine forms ``(den, M, t)``.
+
+    x -> (M1 (M2 x + t2) / d2 + t1) / d1 = (M1 M2 x + M1 t2 + d2 t1) / (d1 d2).
+    """
+    d1, m1, t1 = outer
+    d2, m2, t2 = inner
+    columns = tuple(zip(*m2))
+    return _affine_form(
+        d1 * d2,
+        [[sum(a * b for a, b in zip(row, col)) for col in columns] for row in m1],
+        [sum(a * b for a, b in zip(row, t2)) + d2 * b for row, b in zip(m1, t1)],
+    )
+
+
+def _affine_map(form) -> PolyMap:
+    """The map x -> (M x + t) / den of a canonical form, one pair per row."""
+    den, m, t = form
+    keys = (0, *(1 << (EXPONENT_BITS * j) for j in range(len(m))))
+    return PolyMap(
+        [
+            Polynomial._make(len(m), *normalize(den, {k: c for k, c in zip(keys, (b, *row)) if c}))
+            for row, b in zip(m, t)
+        ]
+    )
+
+
 # -- generators ---------------------------------------------------------
 
 
@@ -204,14 +244,7 @@ class AffineGenerator:
         return tuple(Fraction(v, den) for v in t)
 
     def to_map(self) -> PolyMap:
-        den, m, t = self._form
-        keys = (0, *(1 << (EXPONENT_BITS * j) for j in range(len(m))))
-        return PolyMap(
-            [
-                Polynomial._make(len(m), *normalize(den, {k: c for k, c in zip(keys, (b, *row)) if c}))
-                for row, b in zip(m, t)
-            ]
-        )
+        return _affine_map(self._form)
 
     def inverse(self) -> "AffineGenerator":
         # x -> A^-1 (x - b): its form was computed at validation, and its
@@ -230,7 +263,11 @@ class AffineGenerator:
 
 
 class TriangularGenerator:
-    """Components c_i * x_i + h_i where h_i involves only later variables."""
+    """Components c_i * x_i + h_i where h_i involves only later variables.
+
+    The diagonal is held as canonical integer pairs: c_i = num / den with
+    den > 0 and gcd(num, den) == 1.
+    """
 
     __slots__ = ("components", "_diagonal", "_tails")
 
@@ -254,7 +291,8 @@ class TriangularGenerator:
                 raise InvalidGenerator(
                     f"component {i} must depend on x_{i + 1} linearly and otherwise only on later variables"
                 )
-            diagonal.append(Fraction(ci, comp._den))
+            g = gcd(ci, comp._den)
+            diagonal.append((ci // g, comp._den // g))
             tails.append(Polynomial._make(n, *normalize(comp._den, tail)))
         self.components = components
         self._diagonal = tuple(diagonal)
@@ -273,19 +311,20 @@ class TriangularGenerator:
         n = self.dimension
         xs = [Polynomial.variable(i, n) for i in range(n)]
         inv = TriangularGenerator.__new__(TriangularGenerator)
-        inv._diagonal = tuple(1 / c for c in self._diagonal)
+        # 1 / (num / den) is the swapped pair, its sign moved to the numerator.
+        inv._diagonal = tuple((den, num) if num > 0 else (-den, -num) for num, den in self._diagonal)
         components, tails = list(xs), list(xs)
         for i in range(n - 1, -1, -1):
-            tail, d = self._tails[i], inv._diagonal[i]
+            tail, (num, d) = self._tails[i], inv._diagonal[i]
             if not tail.is_constant():
                 tail = _substitute_all((tail,), xs[: i + 1] + components[i + 1 :])[0]
-            den, terms = normalize(tail._den * d.denominator, scale_terms(tail._terms, -d.numerator))
+            den, terms = normalize(tail._den * d, scale_terms(tail._terms, -num))
             tails[i] = Polynomial._make(n, den, terms)
-            # The tail has no x_i term: adding d*x_i is one key, and over the
-            # lcm the pair stays canonical (as for Polynomial's constructor).
-            common = lcm(den, d.denominator)
+            # The tail has no x_i term: adding (num/d)*x_i is one key, and over
+            # the lcm the pair stays canonical (as for Polynomial's constructor).
+            common = lcm(den, d)
             terms = scale_terms(terms, common // den)
-            terms[1 << (EXPONENT_BITS * i)] = d.numerator * (common // d.denominator)
+            terms[1 << (EXPONENT_BITS * i)] = num * (common // d)
             components[i] = Polynomial._make(n, common, terms)
         inv.components, inv._tails = tuple(components), tuple(tails)
         return inv
@@ -303,7 +342,7 @@ class ExponentialGenerator:
     """exp(scale * q * D) for q in ker D, D locally nilpotent.
 
     ``bound`` is the iteration budget the generator was validated at;
-    ``to_map`` sums the exponential series within the same budget.
+    ``to_map`` is ``Derivation.exp_kernel`` within the same budget.
     """
 
     __slots__ = ("q", "derivation", "scale", "bound")
@@ -330,7 +369,7 @@ class ExponentialGenerator:
         return self.q.dimension
 
     def to_map(self) -> PolyMap:
-        return PolyMap(self.derivation.scaled_by(self.q * self.scale).exp_map(self.bound))
+        return PolyMap(self.derivation.exp_kernel(self.q * self.scale, self.bound))
 
     def inverse(self) -> "ExponentialGenerator":
         # Same q and D as this validated generator: kernel membership and
@@ -410,9 +449,25 @@ class AutWord:
         self.factors = factors
 
     def evaluate(self) -> PolyMap:
-        if not self.factors:
-            return PolyMap.identity(self.dimension)
-        return reduce(PolyMap.compose, (g.to_map() for g in self.factors))
+        """The map g1 o g2 o ... o gk; the identity for the empty word.
+
+        The word is cut into maximal runs of affine factors and of other
+        factors.  An affine run is multiplied out on its integer forms
+        (``_compose_forms``).  Another run is multiplied out from its left
+        end, ((g1 o g2) o g3) ..., so the images of each substitution are
+        one generator's components.  The runs then fold from the right: acc
+        starts as the last run's map and becomes r o acc for each earlier
+        run r, so an affine run only recombines the components of acc.
+        """
+        runs = groupby(self.factors, lambda g: isinstance(g, AffineGenerator))
+        acc = None
+        for affine, run in reversed([(affine, list(run)) for affine, run in runs]):
+            if affine:
+                m = _affine_map(reduce(_compose_forms, (g._form for g in run)))
+            else:
+                m = reduce(PolyMap.compose, (g.to_map() for g in run))
+            acc = m if acc is None else m.compose(acc)
+        return PolyMap.identity(self.dimension) if acc is None else acc
 
     def inverse(self) -> "AutWord":
         return AutWord(self.dimension, tuple(g.inverse() for g in reversed(self.factors)))

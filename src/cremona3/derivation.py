@@ -9,6 +9,8 @@ iterates D (``is_locally_nilpotent``, ``exp_map``) runs on it.  Local nilpotency
 series terminate, giving a polynomial automorphism whose components
 are each one ``exactpoly._sum``; ``formal_flow`` adjoins a formal
 parameter t as a fresh last variable and returns the family exp(tD).
+``exp_kernel`` gives exp(qD) for q in the kernel of D from D's own series
+and products with q, without iterating qD.
 
 ``kernel_coordinates`` is specialized to the fixed three-variable
 derivation with images (y, z, 0): its kernel is the polynomial ring in z
@@ -27,15 +29,17 @@ from functools import lru_cache
 from math import lcm
 from typing import Optional
 
-from ._termops import EXPONENT_BITS, FIELD_MASK, derive_terms, normalize
-from .errors import BoundExceeded, DimensionMismatch, NotInKernelRing
+from ._termops import EXPONENT_BITS, FIELD_MASK, derive_terms, mul_terms, normalize
+from .errors import BoundExceeded, DimensionMismatch, DomainError, NotInKernelRing
 from .exactpoly import MINUS_INFINITY, Polynomial, _sum
 
 #: Iteration budget used when no explicit bound is passed.  The
 #: derivations this package manipulates terminate within three steps.
 DEFAULT_BOUND = 64
 
-#: Pair budget of one ``apply`` in ``exp_map``: terms of the iterate times image terms.
+#: Pair budget of one step of an exponential series: terms of the iterate times
+#: image terms for an ``apply``, terms of the partial sum times terms of q for a
+#: product in ``exp_kernel``.
 MAX_SERIES_PAIRS = 100_000
 
 #: Display names for kernel coordinates (z and the invariant quadric).
@@ -136,37 +140,73 @@ class Derivation:
             return inconclusive
         return NilpotencyReport(Nilpotency.LOCALLY_NILPOTENT_UP_TO_BOUND)
 
+    def _series(self, i: int, bound: int) -> list[tuple[int, dict]]:
+        """The nonzero iterates D^k(x_i)/k!, k = 0, 1, ..., as pairs (den, terms).
+
+        The series must terminate within the bound, and each ``apply`` stay
+        within MAX_SERIES_PAIRS, else BoundExceeded.
+        """
+        image_terms = sum(len(terms) for _, terms, _ in self._scaled)
+        g = Polynomial.variable(i, self.dimension)
+        series = [(1, g._terms)]
+        k = factorial = 1
+        while True:
+            if len(g._terms) * image_terms > MAX_SERIES_PAIRS:
+                raise BoundExceeded(
+                    f"exponential series for variable {i} exceeds the pair budget "
+                    f"{MAX_SERIES_PAIRS} at step {k}"
+                )
+            g = self.apply(g)
+            if g.is_zero():
+                return series
+            if k > bound:
+                raise BoundExceeded(
+                    f"exponential series for variable {i} did not terminate within {bound} steps"
+                )
+            series.append((g._den * factorial, g._terms))
+            k += 1
+            factorial *= k
+
     def exp_map(self, bound: int = DEFAULT_BOUND) -> tuple[Polynomial, ...]:
         """The exponential automorphism (sum_k D^k(x_i)/k!, ...).
 
         Each series must terminate within the bound, and each ``apply`` stay
         within MAX_SERIES_PAIRS, else BoundExceeded.  Component i is one
-        ``_sum`` of the pairs (den * k!, terms) of D^k(x_i).
+        ``_sum`` of the pairs of D^k(x_i)/k!.
         """
         n = self.dimension
-        image_terms = sum(len(terms) for _, terms, _ in self._scaled)
+        return tuple(
+            Polynomial._make(n, *_sum([(1, s) for s in self._series(i, bound)])) for i in range(n)
+        )
+
+    def exp_kernel(self, q: Polynomial, bound: int = DEFAULT_BOUND) -> tuple[Polynomial, ...]:
+        """exp(qD) for q in the kernel of D, without the derivation qD.
+
+        Since D(q) = 0, (qD)^k(x_i) = q^k D^k(x_i), so component i is
+        sum_k q^k s_k for D's own series s_k = D^k(x_i)/k!, folded in q
+        by Horner, acc = acc*q + s_k.  D's series keeps ``exp_map``'s bound
+        and pair budget (for q != 0 it has as many steps as that of qD),
+        and each product acc*q must stay within MAX_SERIES_PAIRS, else
+        BoundExceeded.  q = 0 gives the identity at once, whether or not
+        D's own series ends.  DomainError if D(q) != 0.
+        """
+        if not self.apply(q).is_zero():
+            raise DomainError("exponent must lie in the kernel of the derivation")
+        n = self.dimension
+        if q.is_zero():
+            return tuple(Polynomial.variable(i, n) for i in range(n))
+        q_den, q_terms = q._den, q._terms
         components = []
         for i in range(n):
-            g = Polynomial.variable(i, n)
-            series = [(1, (1, g._terms))]
-            k = factorial = 1
-            while True:
-                if len(g._terms) * image_terms > MAX_SERIES_PAIRS:
+            *rest, (den, terms) = self._series(i, bound)
+            for step, s in enumerate(reversed(rest), 1):
+                if len(terms) * len(q_terms) > MAX_SERIES_PAIRS:
                     raise BoundExceeded(
                         f"exponential series for variable {i} exceeds the pair budget "
-                        f"{MAX_SERIES_PAIRS} at step {k}"
+                        f"{MAX_SERIES_PAIRS} at step {step}"
                     )
-                g = self.apply(g)
-                if g.is_zero():
-                    break
-                if k > bound:
-                    raise BoundExceeded(
-                        f"exponential series for variable {i} did not terminate within {bound} steps"
-                    )
-                series.append((1, (g._den * factorial, g._terms)))
-                k += 1
-                factorial *= k
-            components.append(Polynomial._make(n, *_sum(series)))
+                den, terms = _sum([(1, (den * q_den, mul_terms(terms, q_terms))), (1, s)])
+            components.append(Polynomial._make(n, den, terms))
         return tuple(components)
 
     def formal_flow(self, bound: int = DEFAULT_BOUND) -> tuple[Polynomial, ...]:

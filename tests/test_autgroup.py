@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -82,6 +83,114 @@ def test_evaluate_folds_from_the_first_factor():
     for _ in range(10):
         word = random_tame_word(rng)
         assert word.evaluate() == _left_fold(word)
+
+
+def _fraction_affine(rng, n):
+    while True:
+        try:
+            return AffineGenerator(
+                [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)],
+                [Fraction(rng.randint(-2, 2), rng.randint(1, 4)) for _ in range(n)],
+            )
+        except InvalidGenerator:
+            continue
+
+
+def _affine_rich_word(rng, n):
+    """Runs of 1-4 affine factors between single triangular, scalar or exp factors."""
+    kinds = ("triangular", "scalar", "exp") if n == 3 else ("triangular", "scalar")
+    factors = []
+    for _ in range(rng.randint(1, 3)):
+        factors += [
+            _fraction_affine(rng, n) if rng.random() < 0.5 else verify.random_affine_generator(rng, n)
+            for _ in range(rng.randint(1, 4))
+        ]
+        kind = rng.choice(kinds)
+        if kind == "triangular":
+            factors.append(verify.random_triangular_generator(rng, n, max_tail_degree=2))
+        elif kind == "scalar":
+            factors.append(ScalarGenerator(Fraction(rng.choice((-3, -1, 2)), rng.randint(1, 4)), n))
+        else:
+            factors.append(ExponentialGenerator(rng.choice((Polynomial.one(3), P, Z * P - 2)), D, HALF))
+    start = rng.randint(0, len(factors) - 1)
+    return AutWord(n, factors[start : start + rng.randint(1, 7)])
+
+
+def test_evaluate_matches_the_left_fold_on_affine_runs():
+    rng = random.Random(73)
+    for n in (2, 3):
+        for _ in range(25):
+            word = _affine_rich_word(rng, n)
+            assert word.evaluate() == _left_fold(word)
+            assert word.inverse().evaluate() == _left_fold(word.inverse())
+        for g in (_fraction_affine(rng, n), verify.random_triangular_generator(rng, n)):
+            assert AutWord(n, [g]).evaluate() == _left_fold(AutWord(n, [g])) == g.to_map()
+        assert AutWord(n).evaluate() == _left_fold(AutWord(n)) == PolyMap.identity(n)
+
+
+def test_merged_affine_forms_are_the_composed_maps():
+    generators = [AffineGenerator(m, b) for m, b in _seeded_affine_cases() if _leibniz_det(m)]
+    pairs = [(a, b) for a, b in zip(generators, generators[1:]) if a.dimension == b.dimension]
+    assert len(pairs) >= 70
+    for a, b in pairs:
+        merged = autgroup._compose_forms(a._form, b._form)
+        assert autgroup._affine_map(merged) == compose(a.to_map(), b.to_map())
+        # Canonical: the form a generator built from the product matrix holds.
+        shift = [sum(r * t for r, t in zip(row, b.translation)) + c for row, c in zip(a.matrix, a.translation)]
+        assert merged == AffineGenerator(_product(a.matrix, b.matrix), shift)._form
+        inverse = autgroup._compose_forms(b._inverse_form, a._inverse_form)
+        assert autgroup._affine_map(inverse) == compose(b.inverse().to_map(), a.inverse().to_map())
+        assert compose(autgroup._affine_map(merged), autgroup._affine_map(inverse)).is_identity()
+
+
+def test_affine_runs_substitute_nothing(monkeypatch):
+    # Counts, not time: a word of affine factors alone is one product of integer
+    # forms, and each affine run between other factors enters the fold as one map.
+    calls = []
+    real = autgroup._substitute_all
+
+    def counting(polys, images):
+        calls.append(len(polys))
+        return real(polys, images)
+
+    monkeypatch.setattr(autgroup, "_substitute_all", counting)
+    rng = random.Random(79)
+    words = [AutWord(n, [_fraction_affine(rng, n) for _ in range(5)]) for n in (1, 2, 3, 4)]
+    maps = [(w.evaluate(), w.inverse().evaluate()) for w in words]
+    assert calls == []
+    for w, (forward, backward) in zip(words, maps):
+        assert forward == _left_fold(w) and backward == _left_fold(w.inverse())
+    a = [_fraction_affine(rng, 3) for _ in range(4)]
+    word = AutWord(3, [a[0], a[1], TriangularGenerator((X + Y ** 2, Y + Z, Z)), a[2], a[3]])
+    calls.clear()
+    forward = word.evaluate()
+    assert calls == [3, 3]
+    assert forward == _left_fold(word)
+
+
+def test_runs_of_other_factors_substitute_one_generator_at_a_time(monkeypatch):
+    # Such a run folds from its left end, so every substitution's images are one
+    # generator's components, never the product of several, which a translation
+    # makes dense: two degree-13 kernel exponentials after a translation ran for
+    # seconds when that product was substituted into them.
+    images = []
+    real = autgroup._substitute_all
+
+    def recording(polys, imgs):
+        images.append(tuple(imgs))
+        return real(polys, imgs)
+
+    factors = [
+        TriangularGenerator((X + Y ** 2, Y + Z, Z)),
+        ExponentialGenerator(P, D, HALF),
+        ScalarGenerator(3),
+        TriangularGenerator((2 * X - 1, Y + Z ** 2 + 1, HALF * Z + 3)),
+    ]
+    monkeypatch.setattr(autgroup, "_substitute_all", recording)
+    word = AutWord(3, factors)
+    forward = word.evaluate()
+    assert images == [g.to_map().components for g in factors[1:]]
+    assert forward == _left_fold(word)
 
 
 def test_evaluate_translation_conjugation():
@@ -453,7 +562,10 @@ def test_triangular_inverse_parts_are_what_validation_derives():
         for inv in (g.inverse(), g.inverse().inverse()):
             fresh = TriangularGenerator(inv.components)
             assert (inv._diagonal, inv._tails) == (fresh._diagonal, fresh._tails)
-            assert all(isinstance(c, Fraction) for c in inv._diagonal)
+            for i, (num, den) in enumerate(inv._diagonal):
+                assert type(num) is int and type(den) is int and den > 0 and gcd(num, den) == 1
+                unit = tuple(int(j == i) for j in range(g.dimension))
+                assert Fraction(num, den) == inv.components[i].coefficient(unit)
         assert g.inverse().inverse() == g
 
 

@@ -408,6 +408,30 @@ def test_invert_triangular_word_golden(tmp_path, capsys):
     assert out == "(-1 + x + 2*y - y^2, -1 + y, z)\n"
 
 
+def test_invert_exp_word_with_a_long_kernel_exponent(tmp_path, capsys, monkeypatch):
+    # A 231-term kernel exponent whose series ends after two steps: iterating qD met
+    # the series pair budget at step 2, the fold of D's own series in q does not.
+    word = tmp_path / "word.txt"
+    word.write_text("exp 1 (z + x*z - 1/2*y^2)^20\n")
+    code, out, err = run(capsys, "invert", "--word", str(word))
+    assert (code, err) == (0, "")
+    q = grammar.parse_polynomial("(z + x*z - 1/2*y^2)^20")
+    monkeypatch.setattr(derivation, "MAX_SERIES_PAIRS", 10 ** 9)
+    assert out == grammar.format_map(derivation.nagata_derivation().scaled_by(-q).exp_map()) + "\n"
+
+
+def test_invert_exp_word_past_the_pair_budget_exits_3(tmp_path, capsys):
+    # 990 terms: the second product of the fold would take 991 * 990 pairs.
+    word = tmp_path / "word.txt"
+    word.write_text("exp 1 (z + x*z - 1/2*y^2)^43\n")
+    code, out, err = run(capsys, "invert", "--word", str(word))
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: exponential series for variable 0 exceeds the pair budget "
+        f"{derivation.MAX_SERIES_PAIRS} at step 2\n"
+    )
+
+
 def test_invert_triangular_word_in_dimension_0_exits_3(tmp_path, capsys):
     word = tmp_path / "word.txt"
     word.write_text("triangular (x)\n")

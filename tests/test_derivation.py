@@ -12,6 +12,7 @@ from cremona3 import (
     BoundExceeded,
     Derivation,
     DimensionMismatch,
+    DomainError,
     Nilpotency,
     NotInKernelRing,
     Polynomial,
@@ -22,7 +23,7 @@ from cremona3 import (
     variables,
 )
 from cremona3 import derivation, exactpoly
-from cremona3._termops import derive_terms
+from cremona3._termops import derive_terms, mul_terms
 from cremona3.verify import random_kernel_polynomial, random_nonzero_rational, random_polynomial
 from test_exactpoly import polynomials
 
@@ -214,6 +215,65 @@ def test_exp_map_never_applies_past_the_pair_budget(monkeypatch):
     with pytest.raises(BoundExceeded, match="did not terminate within 64 steps"):
         Derivation((s ** 2, Polynomial.zero(3), Polynomial.zero(3))).exp_map()
     assert max(costs) <= derivation.MAX_SERIES_PAIRS
+
+
+def test_series_pair_budget_admits_exactly_the_budget(monkeypatch):
+    # (y + z, z, 0): the x-series applies to x, y + z and z, at 3, 6 and 3 pairs;
+    # exp(P D)'s Horner fold multiplies z/2 and then a 3-term sum by the 2-term P, at 2 and 6 pairs.
+    d = Derivation((Y + Z, Z, Polynomial.zero(3)))
+    shear = D.scaled_by(P).exp_map()
+    assert derivation.MAX_SERIES_PAIRS == 100_000
+    monkeypatch.setattr(derivation, "MAX_SERIES_PAIRS", 6)
+    assert d.exp_map() == (X + Y + Fraction(3, 2) * Z, Y + Z, Z)
+    monkeypatch.setattr(derivation, "MAX_SERIES_PAIRS", 5)
+    with pytest.raises(BoundExceeded, match="for variable 0 exceeds the pair budget 5 at step 2$"):
+        d.exp_map()
+    monkeypatch.setattr(derivation, "MAX_SERIES_PAIRS", 6)
+    assert D.exp_kernel(P) == shear
+    monkeypatch.setattr(derivation, "MAX_SERIES_PAIRS", 5)
+    with pytest.raises(BoundExceeded, match="for variable 0 exceeds the pair budget 5 at step 2$"):
+        D.exp_kernel(P)
+
+
+def test_exp_kernel_is_the_series_of_q_times_d():
+    rng = random.Random(71)
+    for trial in range(60):
+        q = from_kernel_coordinates(random_kernel_polynomial(rng, 3)) * random_nonzero_rational(rng)
+        assert D.exp_kernel(q) == D.scaled_by(q).exp_map()
+    # D's own series ends after one step at x alone, and anything in y, z is in E's kernel.
+    for q in (Polynomial.one(3), Y * Z - 3, HALF * Z ** 4 + Y):
+        assert E.exp_kernel(q) == E.scaled_by(q).exp_map()
+    assert D.exp_kernel(P) == (X + P * Y + HALF * P ** 2 * Z, Y + P * Z, Z)
+
+
+def test_exp_kernel_keeps_the_step_bound_and_the_kernel_check():
+    for q in (Polynomial.one(3), P):
+        with pytest.raises(BoundExceeded) as info:
+            D.exp_kernel(q, 1)
+        assert str(info.value) == "exponential series for variable 0 did not terminate within 1 steps"
+    # q = 0 is the identity at once, though x d/dx's own series never ends.
+    assert EULER.exp_kernel(Polynomial.zero(3)) == (X, Y, Z)
+    with pytest.raises(DomainError, match="exponent must lie in the kernel of the derivation"):
+        D.exp_kernel(X)
+    with pytest.raises(DimensionMismatch):
+        D.exp_kernel(Polynomial.one(2))
+
+
+def test_exp_kernel_never_multiplies_past_the_pair_budget(monkeypatch):
+    # (z + xz - y^2/2)^43 has 990 terms: the second Horner product of the
+    # x-series would take 991 * 990 pairs, so it raises before forming it.
+    pairs = []
+
+    def recording(a, b):
+        pairs.append(len(a) * len(b))
+        return mul_terms(a, b)
+
+    q = (Z + P) ** 43
+    assert len(q.exponents()) == 990
+    monkeypatch.setattr(derivation, "mul_terms", recording)
+    with pytest.raises(BoundExceeded, match="pair budget 100000 at step 2$"):
+        D.exp_kernel(q)
+    assert pairs == [990]
 
 
 def test_apply_does_no_per_call_setup(monkeypatch):
