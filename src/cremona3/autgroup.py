@@ -342,7 +342,8 @@ class ExponentialGenerator:
     """exp(scale * q * D) for q in ker D, D locally nilpotent.
 
     ``bound`` is the iteration budget the generator was validated at;
-    ``to_map`` is ``Derivation.exp_kernel`` within the same budget.
+    ``to_map`` is the fold of ``Derivation.exp_kernel`` within the same
+    budget, without its kernel check: the exponent was checked here.
     """
 
     __slots__ = ("q", "derivation", "scale", "bound")
@@ -369,7 +370,7 @@ class ExponentialGenerator:
         return self.q.dimension
 
     def to_map(self) -> PolyMap:
-        return PolyMap(self.derivation.exp_kernel(self.q * self.scale, self.bound))
+        return PolyMap(self.derivation._exp_fold(self.q * self.scale, self.bound))
 
     def inverse(self) -> "ExponentialGenerator":
         # Same q and D as this validated generator: kernel membership and

@@ -72,6 +72,16 @@ def _parse_rational_token(text: str) -> Fraction:
         raise ParseError(f"not a rational number: {text!r}") from exc
 
 
+def _parse_tail(lineno: int, raw: str, parse, tail: str, *args):
+    """parse(tail, *args) for ``tail``, a suffix of the stripped word-file line
+    ``raw``: a parse error names its line and column in the file."""
+    try:
+        return parse(tail, *args)
+    except ParseError as exc:  # the grammar's parse errors all carry a position
+        column = len(raw.rstrip()) - len(tail) + exc.column
+        raise type(exc)(exc._message, lineno, column) from None
+
+
 def _read_word_file(path: str, dimension: int) -> AutWord:
     if dimension > 0:  # a dimension below 1 keeps the error the empty word gives it
         _check_dimension(dimension)
@@ -102,14 +112,15 @@ def _read_word_file(path: str, dimension: int) -> AutWord:
                 ]
                 factors.append(AffineGenerator(matrix, numbers[dimension * dimension :]))
             elif kind == "triangular":
-                factors.append(TriangularGenerator(parse_map(rest, dimension)))
+                components = _parse_tail(lineno, raw, parse_map, rest, dimension)
+                factors.append(TriangularGenerator(components))
             elif kind == "exp":
                 scale_text, _, q_text = rest.partition(" ")
                 if dimension != 3:
                     raise DomainError("exp generators use the fixed shear derivation in dimension 3")
                 factors.append(
                     ExponentialGenerator(
-                        parse_polynomial(q_text, 3),
+                        _parse_tail(lineno, raw, parse_polynomial, q_text, 3),
                         nagata,
                         _parse_rational_token(scale_text),
                     )
@@ -146,7 +157,9 @@ def _cmd_exp(args) -> int:
     else:
         base = nagata_derivation()
     q = parse_polynomial(args.q, base.dimension)
-    print(format_map(base.scaled_by(q).exp_map()))
+    # A q outside the kernel exits 3 at once: qD is then not locally nilpotent
+    # (the proof is in exp_kernel's docstring), so its series could not end.
+    print(format_map(base.exp_kernel(q)))
     return 0
 
 

@@ -7,10 +7,14 @@ images put over their common denominator once, when D is built; all that
 iterates D (``is_locally_nilpotent``, ``exp_map``) runs on it.  Local nilpotency
 (every polynomial is killed by some iterate) makes the exponential
 series terminate, giving a polynomial automorphism whose components
-are each one ``exactpoly._sum``; ``formal_flow`` adjoins a formal
-parameter t as a fresh last variable and returns the family exp(tD).
-``exp_kernel`` gives exp(qD) for q in the kernel of D from D's own series
-and products with q, without iterating qD.
+are each one ``exactpoly._sum``.
+
+Every exponential the package builds is exp(qD) for q in the kernel of D,
+and ``exp_kernel`` is the one routine for it: D's own series, folded in q
+by Horner.  Word files, the command line ``exp`` and ``standard_objects``
+call it, and ``formal_flow`` is the same fold with q a fresh variable t.
+``exp_map`` and ``scaled_by`` iterate qD itself; they are the second path
+that ``verify`` and the tests compare against.
 
 ``kernel_coordinates`` is specialized to the fixed three-variable
 derivation with images (y, z, 0): its kernel is the polynomial ring in z
@@ -182,22 +186,40 @@ class Derivation:
     def exp_kernel(self, q: Polynomial, bound: int = DEFAULT_BOUND) -> tuple[Polynomial, ...]:
         """exp(qD) for q in the kernel of D, without the derivation qD.
 
-        Since D(q) = 0, (qD)^k(x_i) = q^k D^k(x_i), so component i is
-        sum_k q^k s_k for D's own series s_k = D^k(x_i)/k!, folded in q
+        The one exponential of a kernel exponent: the command line ``exp``
+        and ``standard_objects`` call it, word-file generators (checked when
+        built) call its fold directly, and ``formal_flow`` is its fold with
+        q = t.  Since D(q) = 0, (qD)^k(x_i) = q^k D^k(x_i), so component i
+        is sum_k q^k s_k for D's own series s_k = D^k(x_i)/k!, folded in q
         by Horner, acc = acc*q + s_k.  D's series keeps ``exp_map``'s bound
         and pair budget (for q != 0 it has as many steps as that of qD),
         and each product acc*q must stay within MAX_SERIES_PAIRS, else
         BoundExceeded.  q = 0 gives the identity at once, whether or not
-        D's own series ends.  DomainError if D(q) != 0.
+        D's own series ends.
+
+        DomainError if D(q) != 0, and no q outside the kernel has an
+        exponential to fall back on: if q != 0 and qD is locally nilpotent,
+        then D(q) = 0 (Freudenburg, Algebraic Theory of Locally Nilpotent
+        Derivations, 2006, ch. 1).  Let v be the degree function of
+        d = qD, v(f) = max {k : d^k(f) != 0}, which is additive on a
+        domain, v(fg) = v(f) + v(g).  If d(q) != 0, then v(d(q)) = v(q) - 1,
+        but v(q * D(q)) >= v(q); so d(q) = q D(q) = 0, hence D(q) = 0.  The
+        series of qD for such a q could only end in BoundExceeded.
         """
         if not self.apply(q).is_zero():
             raise DomainError("exponent must lie in the kernel of the derivation")
-        n = self.dimension
+        return self._exp_fold(q, bound)
+
+    def _exp_fold(self, q: Polynomial, bound: int) -> tuple[Polynomial, ...]:
+        # exp_kernel past its kernel check.  The components take q's dimension,
+        # which may exceed D's: extend keeps packed keys, so D's series terms
+        # serve unchanged beside formal_flow's t.
+        m = q.dimension
         if q.is_zero():
-            return tuple(Polynomial.variable(i, n) for i in range(n))
+            return tuple(Polynomial.variable(i, m) for i in range(self.dimension))
         q_den, q_terms = q._den, q._terms
         components = []
-        for i in range(n):
+        for i in range(self.dimension):
             *rest, (den, terms) = self._series(i, bound)
             for step, s in enumerate(reversed(rest), 1):
                 if len(terms) * len(q_terms) > MAX_SERIES_PAIRS:
@@ -206,20 +228,20 @@ class Derivation:
                         f"{MAX_SERIES_PAIRS} at step {step}"
                     )
                 den, terms = _sum([(1, (den * q_den, mul_terms(terms, q_terms))), (1, s)])
-            components.append(Polynomial._make(n, den, terms))
+            components.append(Polynomial._make(m, den, terms))
         return tuple(components)
 
     def formal_flow(self, bound: int = DEFAULT_BOUND) -> tuple[Polynomial, ...]:
         """exp(tD) with t adjoined as a fresh last variable.
 
         Returns n polynomials in n+1 variables; specializing t to 1
-        recovers ``exp_map`` and t to 0 the identity.  This is the
-        exponential of t*D' for the lift D' of D that kills t: t lies in
-        the kernel, so (tD')^k(x_i) = t^k D^k(x_i).
+        recovers ``exp_map`` and t to 0 the identity.  D, extended to the
+        n+1 variables, kills t, so this is the fold of ``exp_kernel`` with
+        q = t: D's own series summed in powers of t, with no lifted
+        derivation built and no kernel check to make.
         """
         n = self.dimension
-        lifted = Derivation(tuple(img.extend(1) for img in self.images) + (Polynomial.zero(n + 1),))
-        return lifted.scaled_by(Polynomial.variable(n, n + 1)).exp_map(bound)[:n]
+        return self._exp_fold(Polynomial.variable(n, n + 1), bound)
 
 
 @lru_cache(maxsize=1)

@@ -68,6 +68,7 @@ class ParseError(Cremona3Error):
     def __init__(self, message, line=None, column=None):
         self.line = line
         self.column = column
+        self._message = message  # without the position, to place it again
         if line is not None:
             message = f"{message} (line {line}, column {column})"
         super().__init__(message)

@@ -2,7 +2,7 @@
 
 ``standard_objects`` returns the derivation D with x -> y -> z -> 0, the
 invariant quadric p = xz - y^2/2, the Nagata map h = exp(pD) and the
-degree-one shear h' = exp(D).
+degree-one shear h' = exp(D), both from ``Derivation.exp_kernel``.
 
 A unipotent element exp(q D) with q = c(z, p) in ker D is held as its
 exponent c alone, a polynomial in kernel coordinates (Z, P).  On c,
@@ -12,6 +12,10 @@ exactly when every monomial Z^a P^b of c has b >= 1 and a = 2(b-1).
 
 Because q lies in ker D, exp(qD) is the closed form
 ``kernel_shear``: (x + q y + q^2 z/2, y + q z, z), with no series to sum.
+It is ``exp_kernel``'s fold written out for this D, and stays beside it
+because ``centralizer.reconstruct`` adds alpha and w in the same sums:
+built as the fold plus alpha and w, ``reconstruct`` was slower on seeded
+triples (ROADMAP item 11 has the numbers).
 
 The torus (b^2/g * x, b * y, g * z) acts on these by conjugation and
 rescales exp(s * p(pz^2)^k D) by the character (b*g)^(2k+1).  The
@@ -45,8 +49,8 @@ def standard_objects() -> StandardObjects:
     """The shared cast; values are immutable and safe to reuse."""
     D = nagata_derivation()
     p = nagata_invariant()
-    h = PolyMap(D.scaled_by(p).exp_map())
-    h_prime = PolyMap(D.exp_map())
+    h = PolyMap(D.exp_kernel(p))
+    h_prime = PolyMap(D.exp_kernel(Polynomial.one(3)))
     return StandardObjects(D=D, p=p, h=h, h_prime=h_prime)
 
 
@@ -86,10 +90,10 @@ def kernel_shear(c: Polynomial) -> PolyMap:
 
         exp(qD) = (x + q y + q^2 z / 2, y + q z, z)
 
-    exactly; this is ``PolyMap(D.scaled_by(q).exp_map())`` without
-    iterating D.  It is the case alpha = 1, w = 0 of the one assembler
-    behind ``centralizer.reconstruct``: q is expanded once, q^2 z is one
-    product, and each of the first two components is one ``_sum``.
+    exactly; this is ``PolyMap(D.exp_kernel(q))`` without D's series.
+    It is the case alpha = 1, w = 0 of the one assembler behind
+    ``centralizer.reconstruct``: q is expanded once, q^2 z is one product,
+    and each of the first two components is one ``_sum``.
     """
     return _scaled_shear(1, c, Polynomial.zero(3))
 

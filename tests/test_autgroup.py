@@ -11,6 +11,7 @@ from cremona3 import (
     AffineGenerator,
     ArityMismatch,
     AutWord,
+    Derivation,
     DimensionMismatch,
     DomainError,
     ExponentialGenerator,
@@ -50,6 +51,23 @@ def translation_x(amount):
 def test_evaluate_single_exponential_is_nagata():
     word = AutWord(3, [ExponentialGenerator(P, D, 1)])
     assert word.evaluate() == standard_objects().h
+
+
+def test_exponential_to_map_never_applies_d_to_its_exponent(monkeypatch):
+    # The exponent was checked when the generator was built: to_map applies D
+    # only along D's own series, x -> y -> z, y -> z and z.
+    g = ExponentialGenerator(P, D, 2)
+    expected = PolyMap(D.scaled_by(2 * P).exp_map())
+    applied = []
+    apply = Derivation.apply
+
+    def recording(self, f):
+        applied.append(f)
+        return apply(self, f)
+
+    monkeypatch.setattr(Derivation, "apply", recording)
+    assert g.to_map() == expected
+    assert applied == [X, Y, Z, Y, Z, Z]
 
 
 def test_evaluate_empty_word_is_identity():

@@ -195,12 +195,15 @@ def test_exp_with_derivation_override(capsys):
     code, out, _ = run(capsys, "exp", "--q", "y", "--derivation", "(1, 0, 0)")
     assert code == 0
     assert out == "(x + y, y, z)\n"
+    # q = 0 is the identity, though the series of x d/dx never ends.
+    assert run(capsys, "exp", "--q", "0", "--derivation", "(x, 0, 0)") == (0, "(x, y, z)\n", "")
 
 
 def test_exp_divergent_series_exits_3(capsys):
-    code, _, err = run(capsys, "exp", "--q", "x", "--derivation", "(x, 0, 0)")
-    assert code == 3
-    assert "error" in err
+    # x is not in the kernel of x d/dx, so x * x d/dx is not locally nilpotent.
+    code, out, err = run(capsys, "exp", "--q", "x", "--derivation", "(x, 0, 0)")
+    assert (code, out) == (3, "")
+    assert err == "error: exponent must lie in the kernel of the derivation\n"
 
 
 def test_exp_series_past_the_pair_budget_exits_3(capsys):
@@ -410,26 +413,30 @@ def test_invert_triangular_word_golden(tmp_path, capsys):
 
 def test_invert_exp_word_with_a_long_kernel_exponent(tmp_path, capsys, monkeypatch):
     # A 231-term kernel exponent whose series ends after two steps: iterating qD met
-    # the series pair budget at step 2, the fold of D's own series in q does not.
+    # the series pair budget at step 2, the fold of D's own series in q does not,
+    # in a word file and in the exp command alike.
     word = tmp_path / "word.txt"
     word.write_text("exp 1 (z + x*z - 1/2*y^2)^20\n")
     code, out, err = run(capsys, "invert", "--word", str(word))
     assert (code, err) == (0, "")
+    code, out_exp, err = run(capsys, "exp", "--q", "(z + x*z - 1/2*y^2)^20")
+    assert (code, err) == (0, "")
     q = grammar.parse_polynomial("(z + x*z - 1/2*y^2)^20")
     monkeypatch.setattr(derivation, "MAX_SERIES_PAIRS", 10 ** 9)
     assert out == grammar.format_map(derivation.nagata_derivation().scaled_by(-q).exp_map()) + "\n"
+    assert out_exp == grammar.format_map(derivation.nagata_derivation().scaled_by(q).exp_map()) + "\n"
 
 
 def test_invert_exp_word_past_the_pair_budget_exits_3(tmp_path, capsys):
     # 990 terms: the second product of the fold would take 991 * 990 pairs.
     word = tmp_path / "word.txt"
     word.write_text("exp 1 (z + x*z - 1/2*y^2)^43\n")
-    code, out, err = run(capsys, "invert", "--word", str(word))
-    assert (code, out) == (3, "")
-    assert err == (
+    message = (
         f"error: exponential series for variable 0 exceeds the pair budget "
         f"{derivation.MAX_SERIES_PAIRS} at step 2\n"
     )
+    assert run(capsys, "invert", "--word", str(word)) == (3, "", message)
+    assert run(capsys, "exp", "--q", "(z + x*z - 1/2*y^2)^43") == (3, "", message)
 
 
 def test_invert_triangular_word_in_dimension_0_exits_3(tmp_path, capsys):
@@ -438,6 +445,39 @@ def test_invert_triangular_word_in_dimension_0_exits_3(tmp_path, capsys):
     code, out, err = run(capsys, "invert", "--word", str(word), "--dim", "0")
     assert (code, out) == (3, "")
     assert err == "error: dimension must be a positive integer, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "scalar 2\n\nscalar 3\ntriangular (x + , y, z)\n",
+            "expected a rational, a variable or '(', found ',' (line 4, column 17)",
+        ),
+        ("  triangular  (x, q, z)\n", "unknown variable 'q' (line 1, column 19)"),
+        ("triangular\n", "expected '(', found 'end of input' (line 1, column 11)"),
+    ],
+)
+def test_invert_triangular_parse_error_names_its_place_in_the_file(tmp_path, capsys, text, message):
+    word = tmp_path / "word.txt"
+    word.write_text(text)
+    assert run(capsys, "invert", "--word", str(word)) == (2, "", f"parse error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "scalar 2\nexp 1 x*z - \n",
+            "expected a rational, a variable or '(', found 'end of input' (line 2, column 12)",
+        ),
+        ("\n\texp 1  x*z $\n", "unexpected character '$' (line 2, column 13)"),
+    ],
+)
+def test_invert_exp_parse_error_names_its_place_in_the_file(tmp_path, capsys, text, message):
+    word = tmp_path / "word.txt"
+    word.write_text(text)
+    assert run(capsys, "invert", "--word", str(word)) == (2, "", f"parse error: {message}\n")
 
 
 def test_invert_unknown_generator_kind_exits_2(tmp_path, capsys):

@@ -276,6 +276,29 @@ def test_exp_kernel_never_multiplies_past_the_pair_budget(monkeypatch):
     assert pairs == [990]
 
 
+def test_non_kernel_exponents_have_no_exponential():
+    # If q != 0 and qD is locally nilpotent, then D(q) = 0.  So iterating qD
+    # never succeeds for a q outside the kernel, and exp_kernel refuses it at once.
+    _, x2, x3, x4 = variables(4)
+    samples = (
+        D, E,
+        Derivation((Y ** 2, Z, Polynomial.zero(3))),
+        Derivation((x2, x3, x4, Polynomial.zero(4))),
+    )
+    rng = random.Random(24)
+    for d in samples:
+        found = 0
+        while found < 3:
+            q = random_polynomial(rng, d.dimension, 2, 2)
+            if d.apply(q).is_zero():
+                continue
+            found += 1
+            with pytest.raises(BoundExceeded):
+                d.scaled_by(q).exp_map()
+            with pytest.raises(DomainError, match="^exponent must lie in the kernel of the derivation$"):
+                d.exp_kernel(q)
+
+
 def test_apply_does_no_per_call_setup(monkeypatch):
     # The common denominator of the images is taken once, when D is built.
     half = Derivation((HALF * Y, Fraction(2, 3) * Z, Polynomial.zero(3)))
@@ -318,7 +341,12 @@ def test_exp_maps_compose_to_identity():
 # -- formal flow ---------------------------------------------------------------
 
 
-def test_formal_flow_of_shear():
+def test_formal_flow_of_shear(monkeypatch):
+    # The fold of D's own series in t: no lifted derivation is built.
+    def refuse(self):
+        raise AssertionError("formal_flow built a derivation")
+
+    monkeypatch.setattr(Derivation, "__post_init__", refuse)
     x, y, z, t = variables(4)
     assert D.formal_flow() == (x + t * y + HALF * t ** 2 * z, y + t * z, z)
 
@@ -331,6 +359,35 @@ def test_formal_flow_of_partial_derivation():
 def test_formal_flow_bound_exceeded():
     with pytest.raises(BoundExceeded, match="within 8 steps"):
         EULER.formal_flow(8)
+
+
+def _lifted_flow(d, bound):
+    # The former formal_flow, kept as the oracle: exp(t D') for the lift D' of D that kills t.
+    n = d.dimension
+    lifted = Derivation(tuple(img.extend(1) for img in d.images) + (Polynomial.zero(n + 1),))
+    return lifted.scaled_by(Polynomial.variable(n, n + 1)).exp_map(bound)[:n]
+
+
+def _flow_or_message(flow, *args):
+    try:
+        return flow(*args)
+    except BoundExceeded as exc:
+        return str(exc)
+
+
+def test_formal_flow_is_the_series_of_the_lift():
+    zero = Polynomial.zero(3)
+    x1 = Polynomial.variable(0, 1)
+    samples = (
+        D, E, EULER, ZERO_DERIVATION, D.scaled_by(P),
+        Derivation((Y + Z, Z, zero)),
+        Derivation((HALF * Y, Fraction(2, 3) * Z, zero)),
+        Derivation((Y ** 10, Z * Z, zero)),
+        Derivation((x1 * x1,)),
+    )
+    for d in samples:
+        for bound in (1, 8, derivation.DEFAULT_BOUND):
+            assert _flow_or_message(d.formal_flow, bound) == _flow_or_message(_lifted_flow, d, bound)
 
 
 def test_formal_flow_specializations():
