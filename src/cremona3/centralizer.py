@@ -17,7 +17,9 @@ reads them off the y = 0 slice of two kernel elements (exact, by the
 lemma in ``kernel_coordinates``) in one pass over the integer pair of
 f2 and one over f1's, forming neither element, and then w is one product
 and one sum in (Z, P); ``reconstruct`` expands q once and multiplies the
-three factors out in closed form.
+three factors out in closed form.  Past membership, z divides f2 - a y
+with no check, since ker D and im D meet in z C[z, p] (the proof is in
+``decompose``).
 
 ``decompose`` accepts raw maps (the one place raw maps are accepted)
 because commutation with h' is directly checkable.  A map that commutes
@@ -31,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._termops import mul_terms
+from ._termops import EXPONENT_BITS, mul_terms
 from .autgroup import PolyMap
 from .derivation import _Z_SHIFT, _read_off
 from .errors import (
@@ -41,7 +43,7 @@ from .errors import (
 )
 from .exactpoly import Polynomial, _sum
 from .grammar import format_polynomial
-from .nagata import _Y, _scaled_shear, standard_objects
+from .nagata import _scaled_shear, standard_objects
 
 
 @dataclass(frozen=True)
@@ -108,16 +110,24 @@ def decompose(f: PolyMap) -> Decomposition:
     D(residue) = f2 - a y - q_raw z = 0.  Each is c(z, p) for the c read
     off its y-free terms (exact, see ``kernel_coordinates``; a term
     x^i z^j with j < i cannot occur, as ker D = C[z, p]).  Neither is
-    formed.  f2 - a y is divisible by z iff f2's y coefficient is a and
-    every other term holds z; then the y-free terms of q_raw are f2's with
-    z lowered once.  q_raw y has no y-free term, so those of the residue
-    are f1's but for the x term, which the read-off skips (j < i).  So
-    each read is one pass over the integer pair of f2 or f1, scaled by
-    1/a, and w = c - q^2 Z/2, for the c of the residue, is one product
-    and one sum in (Z, P).
+    formed.
+
+    The division by z needs no check.  g = f2 - a y = D(f1 - a x) lies in
+    ker D and in im D.  D is the raising operator e of an sl2-triple on
+    C[x, y, z] with weights -2, 0, 2 on x, y, z (Jacobson-Morozov), and
+    each homogeneous degree is a finite-dimensional, completely reducible
+    module; so a kernel vector lies in im e iff its weight-0 part is 0.
+    As z^a p^b has weight 2a, ker D and im D meet in z C[z, p] (the plinth
+    ideal of D; Freudenburg, Algebraic Theory of Locally Nilpotent
+    Derivations, 2006).  So z divides g, and g has no y term: f2's y
+    coefficient is a and every other term of f2 holds z.
+
+    Then the y-free terms of q_raw are f2's with z lowered once.  q_raw y
+    has no y-free term, so those of the residue are f1's but for the x
+    term, which the read-off skips (j < i).  So each read is one pass over
+    the integer pair of f2 or f1, scaled by 1/a, and w = c - q^2 Z/2, for
+    the c of the residue, is one product and one sum in (Z, P).
     """
-    if f.dimension != 3:
-        raise DimensionMismatch(f"decompose needs dimension 3, got {f.dimension}")
     if not is_in_centralizer(f):
         raise NotInCentralizer("the map does not commute with the degree-one shear")
     f1, f2, f3 = f.components
@@ -128,24 +138,18 @@ def decompose(f: PolyMap) -> Decomposition:
         )
     scale = f3.coefficient((0, 0, 1))
 
-    den, terms = f2._den, f2._terms
-    if terms.get(_Y, 0) * scale.denominator != scale.numerator * den or not all(
-        key >> _Z_SHIFT for key in terms if key != _Y
-    ):
-        raise MalformedCentralizerElement("second component minus alpha*y is not divisible by z")
-
     # 1/scale = b/a with a > 0 scales both reads inside their sums.
     a, b = abs(scale.numerator), scale.denominator if scale.numerator > 0 else -scale.denominator
-    q_den, q_terms = _sum([(b, _read_off(den, terms, 1)[0])], a)
+    q_den, q_terms = _sum([(b, _read_off(f2._den, f2._terms, 1)[0])], a)
     qqz = mul_terms(q_terms, {key + 1: c for key, c in q_terms.items()})  # Z is the packed key 1
     residue = _read_off(f1._den, f1._terms)[0]
-    shift = Polynomial._make(2, *_sum([(b, residue), (-a, (2 * q_den * q_den, qqz))], a))
-    if not shift.depends_only_on({0}):
+    w_den, w_terms = _sum([(b, residue), (-a, (2 * q_den * q_den, qqz))], a)
+    if any(key >> EXPONENT_BITS for key in w_terms):  # a term holds P
         raise MalformedCentralizerElement(
             "shift component is not a polynomial in z alone"
         )
     # w(Z) -> w(z): Z^k is the packed key k, z^k is k << _Z_SHIFT.
-    w = Polynomial._make(3, shift._den, {k << _Z_SHIFT: c for k, c in shift._terms.items()})
+    w = Polynomial._make(3, w_den, {k << _Z_SHIFT: c for k, c in w_terms.items()})
     return Decomposition(alpha=scale, w=w, q=Polynomial._make(2, q_den, q_terms))
 
 

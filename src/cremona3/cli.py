@@ -72,14 +72,23 @@ def _parse_rational_token(text: str) -> Fraction:
         raise ParseError(f"not a rational number: {text!r}") from exc
 
 
+#: The position that ends the grammar's nesting and digit-limit DomainErrors.
+_POSITION = re.compile(r"(.*) \(line 1, column (\d+)\)")
+
+
 def _parse_tail(lineno: int, raw: str, parse, tail: str, *args):
     """parse(tail, *args) for ``tail``, a suffix of the stripped word-file line
-    ``raw``: a parse error names its line and column in the file."""
+    ``raw``: an error that names a place in ``tail`` names it in the file."""
+    offset = len(raw.rstrip()) - len(tail)
     try:
         return parse(tail, *args)
     except ParseError as exc:  # the grammar's parse errors all carry a position
-        column = len(raw.rstrip()) - len(tail) + exc.column
-        raise type(exc)(exc._message, lineno, column) from None
+        raise type(exc)(exc._message, lineno, offset + exc.column) from None
+    except DomainError as exc:
+        place = _POSITION.fullmatch(str(exc))
+        if place is None:
+            raise
+        raise type(exc)(f"{place[1]} (line {lineno}, column {offset + int(place[2])})") from None
 
 
 def _read_word_file(path: str, dimension: int) -> AutWord:

@@ -284,9 +284,7 @@ def kernel_coordinates(f: Polynomial) -> Polynomial:
     term x^d z^j with j < d; let d_B be the largest such d.  So the
     algorithm stops at max(d_A, d_B), reporting the y when d_A = d_B.
     """
-    if f.dimension != 3:
-        raise DimensionMismatch(f"kernel coordinates need dimension 3, got {f.dimension}")
-    d_a = nagata_derivation().apply(f).degree_in(0)
+    d_a = nagata_derivation().apply(f).degree_in(0)  # DimensionMismatch unless f is in (x, y, z)
     c, d_b = _read_off(f._den, f._terms)
     if d_a >= max(d_b, 0):
         raise NotInKernelRing(

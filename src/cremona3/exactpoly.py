@@ -287,30 +287,6 @@ class Polynomial:
         """
         return _substitute_all((self,), images)[0]
 
-    def coefficient_of_power(self, index: int, power: int) -> "Polynomial":
-        """Coefficient of x_index^power, as a polynomial with that slot zeroed."""
-        shift = self._check_index(index)
-        lowered = power << shift
-        out = {
-            key - lowered: c
-            for key, c in self._terms.items()
-            if (key >> shift) & FIELD_MASK == power
-        }
-        return Polynomial._make(self._dimension, *normalize(self._den, out))
-
-    def divided_by_power(self, index: int, power: int):
-        """Exact quotient by x_index^power, or None when not divisible."""
-        shift = self._check_index(index)
-        if power < 0:
-            raise ValueError(f"power must be non-negative, got {power!r}")
-        lowered = power << shift
-        out = {}
-        for key, c in self._terms.items():
-            if (key >> shift) & FIELD_MASK < power:
-                return None
-            out[key - lowered] = c
-        return Polynomial._make(self._dimension, self._den, out)
-
     def used_variables(self) -> frozenset[int]:
         bits = reduce(or_, self._terms, 0)
         return frozenset(

@@ -137,10 +137,10 @@ class _Parser:
     on the way: only the base of a power is reduced, and ``polynomial``
     normalizes each parsed result once."""
 
-    def __init__(self, tokens: list[_Token], names: Sequence[str], dimension: int):
+    def __init__(self, tokens: list[_Token], dimension: int):
         self.tokens = tokens
         self.pos = 0
-        self.names = {name: i for i, name in enumerate(names)}
+        self.names = {name: i for i, name in enumerate(default_variable_names(dimension))}
         self.dimension = dimension
         self.depth = 0
         self.print_bits = _print_bits()
@@ -264,14 +264,11 @@ class _Parser:
         return Polynomial._make(self.dimension, *normalize(*self.parse_expr()))
 
 
-def parse_polynomial(
-    text: str, dimension: int = 3, names: Optional[Sequence[str]] = None
-) -> Polynomial:
-    """Parse an expression into a polynomial of the given dimension."""
+def parse_polynomial(text: str, dimension: int = 3) -> Polynomial:
+    """Parse an expression into a polynomial of the given dimension, in the
+    variables ``default_variable_names(dimension)``."""
     _check_dimension(dimension)
-    if names is None:
-        names = default_variable_names(dimension)
-    parser = _Parser(_tokenize(text), names, dimension)
+    parser = _Parser(_tokenize(text), dimension)
     value = parser.polynomial()
     tok = parser.peek()
     if tok.kind != "end":
@@ -292,10 +289,9 @@ def _split_components(parser: _Parser) -> list[Polynomial]:
     return components
 
 
-def parse_map(
-    text: str, dimension: Optional[int] = None, names: Optional[Sequence[str]] = None
-) -> tuple[Polynomial, ...]:
-    """Parse a ``(e1, ..., en)`` literal into a tuple of polynomials.
+def parse_map(text: str, dimension: Optional[int] = None) -> tuple[Polynomial, ...]:
+    """Parse a ``(e1, ..., en)`` literal into a tuple of polynomials in the
+    variables ``default_variable_names(n)``.
 
     With ``dimension=None`` the arity is inferred by counting top-level
     commas; otherwise a wrong component count raises ArityMismatch.
@@ -313,9 +309,7 @@ def parse_map(
                 commas += 1
         dimension = commas + 1
     _check_dimension(dimension)
-    if names is None:
-        names = default_variable_names(dimension)
-    parser = _Parser(tokens, names, dimension)
+    parser = _Parser(tokens, dimension)
     components = _split_components(parser)
     if len(components) != dimension:
         raise ArityMismatch(f"map literal has {len(components)} components, expected {dimension}")
@@ -414,5 +408,6 @@ def format_polynomial(p: Polynomial, names: Optional[Sequence[str]] = None) -> s
     return out
 
 
-def format_map(components: Sequence[Polynomial], names: Optional[Sequence[str]] = None) -> str:
-    return "(" + ", ".join(format_polynomial(c, names) for c in components) + ")"
+def format_map(components: Sequence[Polynomial]) -> str:
+    """``(c1, ..., cn)``, each component by ``format_polynomial``; ``parse_map`` inverts it."""
+    return "(" + ", ".join(format_polynomial(c) for c in components) + ")"

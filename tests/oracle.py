@@ -80,3 +80,18 @@ def from_poly(p):
 def as_dict(p):
     """Canonical dict of a library polynomial, for comparison."""
     return dict(p.terms)
+
+
+def coefficient_of_power(p, index, power):
+    """The coefficient of x_index^power in the library polynomial p, as terms
+    {exponents: coefficient} with that exponent set to 0, read off ``p.terms``."""
+    return {e[:index] + (0,) + e[index + 1 :]: c for e, c in p.terms.items() if e[index] == power}
+
+
+def divided_by_power(p, index, power):
+    """The terms of the exact quotient p / x_index^power, read off ``p.terms``,
+    or None when some term of p has x_index to a lower power."""
+    terms = p.terms
+    if any(e[index] < power for e in terms):
+        return None
+    return {e[:index] + (e[index] - power,) + e[index + 1 :]: c for e, c in terms.items()}

@@ -250,6 +250,9 @@ def test_compose_exponentials_adds_kernel_exponents():
 def test_compose_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         compose(PolyMap.identity(3), PolyMap.identity(2))
+    with pytest.raises(DimensionMismatch, match="cannot compare maps of dimensions 3 and 2"):
+        commutes(PolyMap.identity(3), PolyMap.identity(2))
+    assert PolyMap.identity(3) != "(x, y, z)"
 
 
 def test_compose_is_associative_on_words():
@@ -477,13 +480,15 @@ def test_affine_rejects_matrices_singular_only_at_the_last_pivot():
 
 
 def test_triangular_rejects_missing_diagonal():
-    with pytest.raises(InvalidGenerator):
+    with pytest.raises(InvalidGenerator, match="component 0 has no x_1 term"):
         TriangularGenerator((Y, Y + Z, Z))
 
 
 def test_triangular_rejects_earlier_variable_in_tail():
-    with pytest.raises(InvalidGenerator):
+    with pytest.raises(InvalidGenerator, match="component 1 must depend on x_2 linearly"):
         TriangularGenerator((X + Y, Y + X ** 2, Z))
+    with pytest.raises(InvalidGenerator):  # x_1 to the first power, the lowest bit of the mask
+        TriangularGenerator((X, Y + X, Z))
 
 
 def test_triangular_rejects_nonlinear_diagonal():
@@ -507,6 +512,32 @@ def test_exponential_rejects_non_nilpotent_derivation():
 def test_scalar_rejects_zero():
     with pytest.raises(InvalidGenerator):
         ScalarGenerator(0, dimension=3)
+
+
+def test_constructors_reject_malformed_shapes():
+    with pytest.raises(DimensionMismatch, match="at least one component"):
+        PolyMap(())
+    with pytest.raises(DimensionMismatch, match="component dimension 2 != map dimension 3"):
+        PolyMap((X, Y, Polynomial.variable(0, 2)))
+    for matrix, shift in (((), ()), (((1, 0), (0, 1, 0)), (0, 0)), (((1, 0), (0, 1)), (0,))):
+        with pytest.raises(InvalidGenerator, match="square matrix"):
+            AffineGenerator(matrix, shift)
+    with pytest.raises(DimensionMismatch, match="exponent dimension 2 != derivation dimension 3"):
+        ExponentialGenerator(Polynomial.one(2), D, 1)
+    with pytest.raises(InvalidGenerator, match="not a generator"):
+        AutWord(3, [ScalarGenerator(2), PolyMap.identity(3)])
+    # Only the dimension check refuses it: x_3 has the same packed key in 4 variables.
+    with pytest.raises(DimensionMismatch, match="component dimension 4 != generator dimension 3"):
+        TriangularGenerator((X, Y, Polynomial.variable(2, 4)))
+
+
+def test_exponential_generators_are_equal_by_exponent_derivation_and_scale():
+    g = ExponentialGenerator(P, D, 2)
+    assert g == ExponentialGenerator(P, D, Fraction(4, 2))
+    assert g != ExponentialGenerator(P + Z, D, 2)
+    assert g != ExponentialGenerator(P, D, 3)
+    assert g != ExponentialGenerator(P, D.scaled_by(Polynomial.constant(3, 2)), 2)
+    assert g != ScalarGenerator(2)
 
 
 # -- group laws -----------------------------------------------------------------

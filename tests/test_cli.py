@@ -329,6 +329,24 @@ def test_character_malformed_rationals_still_exit_2(capsys):
 
 
 
+def test_character_just_inside_the_print_bound_is_computed(capsys):
+    # A power of a b-bit base is refused from bit lengths when (b - 1)(2k + 1)
+    # reaches the bound; at k = 1 a base with 3(b - 1) inside it is computed.
+    _long_literals_are_limited()
+    e = -(-grammar._print_bits() // 4)  # 3e is inside the bound, 4e is not
+    code, out, err = run(capsys, "character", "--k", "1", "--beta", str(2 ** e), "--gamma", "1")
+    assert (code, out, err) == (0, f"{2 ** (3 * e)}\n", "")
+
+
+def test_character_decimal_exponent_at_the_digit_limit(capsys):
+    # An exponent of exactly the limit is read (the product here is 1); one more is refused.
+    _long_literals_are_limited()
+    limit = sys.get_int_max_str_digits()
+    argv = ("character", "--k", "1", f"--beta=1e{limit}", f"--gamma=1e-{limit}")
+    assert run(capsys, *argv) == (0, "1\n", "")
+    _exits_3_quickly(capsys, "character", "--k", "1", f"--beta=1e{limit + 1}", "--gamma", "1")
+
+
 def test_character_exponent_notation_matches_plain_digits(capsys):
     plain = run(capsys, "character", "--k", "1", "--beta", "100", "--gamma", "1")
     assert plain == (0, "1000000\n", "")
@@ -445,6 +463,18 @@ def test_invert_triangular_word_in_dimension_0_exits_3(tmp_path, capsys):
     code, out, err = run(capsys, "invert", "--word", str(word), "--dim", "0")
     assert (code, out) == (3, "")
     assert err == "error: dimension must be a positive integer, got 0\n"
+    # A dimension below 1 is not checked up front: an empty word keeps its own error.
+    word.write_text("")
+    for dim in ("0", "-1"):
+        expected = (3, "", "error: a map needs at least one component\n")
+        assert run(capsys, "invert", "--word", str(word), "--dim", dim) == expected
+
+
+def test_invert_exp_word_outside_dimension_3_exits_3(tmp_path, capsys):
+    word = tmp_path / "word.txt"
+    word.write_text("exp 1 x1\n")
+    expected = (3, "", "error: exp generators use the fixed shear derivation in dimension 3\n")
+    assert run(capsys, "invert", "--word", str(word), "--dim", "2") == expected
 
 
 @pytest.mark.parametrize(
@@ -456,12 +486,29 @@ def test_invert_triangular_word_in_dimension_0_exits_3(tmp_path, capsys):
         ),
         ("  triangular  (x, q, z)\n", "unknown variable 'q' (line 1, column 19)"),
         ("triangular\n", "expected '(', found 'end of input' (line 1, column 11)"),
+        pytest.param(
+            "scalar 2\n\ntriangular (" + "-" * 150 + "x, y, z)\n",
+            "parentheses and unary minus nested deeper than 100 (line 3, column 113)",
+            id="nesting",
+        ),
     ],
 )
 def test_invert_triangular_parse_error_names_its_place_in_the_file(tmp_path, capsys, text, message):
+    _assert_word_file_error(tmp_path, capsys, text, message)
+
+
+#: main prints a ParseError (exit 2) and a DomainError (exit 3) with these prefixes.
+ERROR_PREFIX = {2: "parse error: ", 3: "error: "}
+
+
+def _assert_word_file_error(tmp_path, capsys, text, message):
+    if "{limit}" in message:
+        _long_literals_are_limited()
+        message = message.format(limit=sys.get_int_max_str_digits())
     word = tmp_path / "word.txt"
     word.write_text(text)
-    assert run(capsys, "invert", "--word", str(word)) == (2, "", f"parse error: {message}\n")
+    code, out, err = run(capsys, "invert", "--word", str(word))
+    assert (out, err) == ("", f"{ERROR_PREFIX[code]}{message}\n")
 
 
 @pytest.mark.parametrize(
@@ -472,12 +519,15 @@ def test_invert_triangular_parse_error_names_its_place_in_the_file(tmp_path, cap
             "expected a rational, a variable or '(', found 'end of input' (line 2, column 12)",
         ),
         ("\n\texp 1  x*z $\n", "unexpected character '$' (line 2, column 13)"),
+        pytest.param(
+            "scalar 2\nexp 1 " + "9" * 5000 + "*z\n",
+            "integer literal of 5000 digits exceeds the limit of {limit} digits (line 2, column 7)",
+            id="digit-limit",
+        ),
     ],
 )
 def test_invert_exp_parse_error_names_its_place_in_the_file(tmp_path, capsys, text, message):
-    word = tmp_path / "word.txt"
-    word.write_text(text)
-    assert run(capsys, "invert", "--word", str(word)) == (2, "", f"parse error: {message}\n")
+    _assert_word_file_error(tmp_path, capsys, text, message)
 
 
 def test_invert_unknown_generator_kind_exits_2(tmp_path, capsys):
@@ -485,14 +535,15 @@ def test_invert_unknown_generator_kind_exits_2(tmp_path, capsys):
     word.write_text("rotation 1 2 3\n")
     code, _, err = run(capsys, "invert", "--word", str(word))
     assert code == 2
-    assert "unknown generator kind" in err
+    assert err == "parse error: unknown generator kind 'rotation' (line 1, column 1)\n"
 
 
 def test_invert_affine_wrong_count_exits_2(tmp_path, capsys):
     word = tmp_path / "word.txt"
     word.write_text("affine 1 0 0 1\n")
-    code, _, _ = run(capsys, "invert", "--word", str(word))
+    code, _, err = run(capsys, "invert", "--word", str(word))
     assert code == 2
+    assert err == "parse error: affine generator needs 12 rationals, got 4 (line 1, column 1)\n"
 
 
 @pytest.mark.parametrize(
@@ -537,7 +588,11 @@ def test_dimension_past_the_budget_exits_3_at_once(tmp_path, capsys):
     empty.write_text("")
     limit = cremona3.exactpoly.MAX_DIMENSION
     for dim in (str(limit + 1), "1000000000"):
-        for argv in (("parse", "--dim", dim, "x1"), ("invert", "--word", str(empty), "--dim", dim)):
+        for argv in (
+            ("parse", "--dim", dim, "x1"),
+            ("invert", "--word", str(empty), "--dim", dim),
+            ("invert", "--word", str(tmp_path / "missing.txt"), "--dim", dim),  # before the file is read
+        ):
             start = time.perf_counter()
             code, out, err = run(capsys, *argv)
             assert time.perf_counter() - start < 1.0
@@ -563,6 +618,7 @@ def test_invert_singular_affine_exits_3(tmp_path, capsys):
 
 
 def test_verify_paper_output_is_deterministic_per_seed(capsys):
+    assert cremona3.cli.build_parser().parse_args(["verify-paper"]).seed == 0
     code_a, out_a, _ = run(capsys, "verify-paper", "--seed", "7")
     code_b, out_b, _ = run(capsys, "verify-paper", "--seed", "7")
     assert code_a == code_b == 0

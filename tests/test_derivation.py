@@ -25,6 +25,7 @@ from cremona3 import (
 from cremona3 import derivation, exactpoly
 from cremona3._termops import derive_terms, mul_terms
 from cremona3.verify import random_kernel_polynomial, random_nonzero_rational, random_polynomial
+from oracle import coefficient_of_power, divided_by_power
 from test_exactpoly import polynomials
 
 X, Y, Z = variables(3)
@@ -63,6 +64,8 @@ def test_apply_dimension_mismatch():
 def test_derivation_rejects_mixed_dimensions():
     with pytest.raises(DimensionMismatch):
         Derivation((X, Y, Polynomial.variable(0, 2)))
+    with pytest.raises(DimensionMismatch, match="at least one image"):
+        Derivation(())
 
 
 @settings(max_examples=40, deadline=None)
@@ -468,14 +471,15 @@ def _kernel_coordinates_by_division(f):
     work = f
     while not work.is_zero():
         d = work.degree_in(0)
-        lead = work.coefficient_of_power(0, d)
+        lead = Polynomial(3, coefficient_of_power(work, 0, d))
         if not lead.depends_only_on({2}):
             raise NotInKernelRing(
                 f"the x^{d} coefficient involves y, so the input is not in the kernel ring"
             )
-        quotient = lead.divided_by_power(2, d)
+        quotient = divided_by_power(lead, 2, d)
         if quotient is None:
             raise NotInKernelRing(f"the x^{d} coefficient is not divisible by z^{d}")
+        quotient = Polynomial(3, quotient)
         den, numerators = quotient.integer_terms()
         out = out + Polynomial(2, {(exps[2], d): c for exps, c in numerators.items()}) / den
         if d == 0:

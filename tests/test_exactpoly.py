@@ -163,6 +163,7 @@ def test_factories_check_the_dimension_like_the_constructor(dimension):
 
 def test_every_factory_refuses_a_dimension_past_the_budget():
     limit = exactpoly.MAX_DIMENSION
+    assert limit == 1000
     for dimension in (limit + 1, 10**9):
         for build in (
             lambda: Polynomial(dimension),
@@ -186,6 +187,16 @@ def test_equality_is_term_map_equality():
         assert constant == value
         assert hash(constant) == hash(Fraction(value))
         assert len({constant, value}) == 1
+    # Floats and strings are not coefficients: no operand is converted from them.
+    for other in (1.5, "1/2"):
+        assert Polynomial.constant(3, Fraction(3, 2)) != other
+        for f in (P, X):  # over 2 and over 1
+            for operation in (
+                lambda: f + other, lambda: other + f, lambda: f - other, lambda: other - f,
+                lambda: f * other, lambda: other * f, lambda: f / other,
+            ):
+                with pytest.raises(TypeError):
+                    operation()
 
 
 def test_coefficients_are_reduced_rationals():
@@ -256,6 +267,12 @@ def test_scalar_arithmetic():
     assert P - 1 == P + Polynomial.constant(3, -1)
     assert -P == -1 * P
     assert (X + 1) ** 3 == X ** 3 + 3 * X ** 2 + 3 * X + 1
+
+
+@pytest.mark.parametrize("exponent", [-1, 1.5, Fraction(2)], ids=["-1", "1.5", "Fraction(2)"])
+def test_power_needs_a_non_negative_integer_exponent(exponent):
+    with pytest.raises(ValueError, match="non-negative integer"):
+        P ** exponent
 
 
 
@@ -368,8 +385,11 @@ def test_partial_derivative_of_constant():
 
 
 def test_partial_derivative_index_out_of_range():
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(IndexOutOfRange, match=r"variable index 3 not in 0\.\.2$"):
         P.partial_derivative(3)
+    for index in (3, -1):
+        with pytest.raises(IndexOutOfRange, match=rf"variable index {index} not in 0\.\.2$"):
+            Polynomial.variable(index, 3)
 
 
 def test_partial_derivative_goes_through_derive_terms(monkeypatch):
@@ -424,20 +444,6 @@ def test_total_degree_of_nagata_first_component():
 
 
 # -- structure helpers -----------------------------------------------------
-
-
-def test_coefficient_of_power():
-    f = X ** 2 * Z + X * Y + Z
-    assert f.coefficient_of_power(0, 2) == Z
-    assert f.coefficient_of_power(0, 1) == Y
-    assert f.coefficient_of_power(0, 0) == Z
-
-
-def test_divided_by_power():
-    f = X * Z ** 2 + Z ** 3
-    assert f.divided_by_power(2, 2) == X + Z
-    assert f.divided_by_power(2, 3) is None
-    assert Polynomial.zero(3).divided_by_power(2, 5) == Polynomial.zero(3)
 
 
 def test_depends_only_on():

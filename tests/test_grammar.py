@@ -185,7 +185,8 @@ def test_unknown_variable_reports_position():
 def test_parse_error_reports_line():
     with pytest.raises(ParseError) as info:
         parse_polynomial("x +\n 2y")
-    assert info.value.line == 2
+    assert (info.value.line, info.value.column) == (2, 3)
+    assert parse_polynomial("x +\ny") == X + Y
 
 
 @pytest.mark.parametrize("text", ["²", "1²", "x^²"])
@@ -380,6 +381,25 @@ def test_power_past_the_print_limit_raises_before_computing(monkeypatch):
             parse_polynomial(text)
 
 
+def test_print_checks_refuse_exactly_at_their_bit_bound(monkeypatch):
+    # With a 10-digit limit the bound is 34 bits (2^34 has 11 digits): a power or
+    # product whose coefficient is at least 2^34 by the bit count is refused at
+    # parse time; one bit less parses, as does a product whose factors cancel.
+    monkeypatch.setattr(grammar, "_digit_limit", lambda: 10)
+    assert grammar._print_bits() == 34
+    for text in ("(131072*x)^2", "131072*x*131072", "1/131072*x*(1/131072)"):
+        with pytest.raises(DomainError, match="exceeds the limit of 10 digits for printing"):
+            parse_polynomial(text)
+    assert parse_polynomial("(65536*x)^2") == 2 ** 32 * X ** 2
+    assert parse_polynomial("131072*x*65536") == 2 ** 33 * X
+    assert parse_polynomial("1/131072*x*(1/65536)") == X / 2 ** 33
+    assert parse_polynomial("1099511627776*x*(1/1099511627776)") == X
+    # The bound is sound for every limit up to 5,000 digits: 2^bound has more digits.
+    for limit in range(1, 5001):
+        monkeypatch.setattr(grammar, "_digit_limit", lambda: limit)
+        assert 2 ** grammar._print_bits() >= 10 ** limit
+
+
 def test_powers_within_the_print_limit_are_computed():
     assert parse_polynomial("(2*x)^100") == 2 ** 100 * X ** 100
     assert parse_polynomial(f"x^{MAX_EXPONENT}") == X ** MAX_EXPONENT
@@ -397,6 +417,11 @@ def test_nesting_past_the_budget_raises_domain_error():
             parse_polynomial(text)
     with pytest.raises(DomainError, match="nested deeper"):
         parse_map("(x, " + "(" * 400 + "y" + ")" * 400 + ", z)")
+    # Closing a nest gives back exactly one level: 100 sibling nests leave no credit.
+    for opener, closer in (("(", ")"), ("-", "")):
+        siblings = " + ".join([opener + "x" + closer] * 100) + " + "
+        with pytest.raises(DomainError, match=f"nested deeper than {MAX_NESTING} "):
+            parse_polynomial(siblings + opener * (MAX_NESTING + 1) + "y" + closer * (MAX_NESTING + 1))
 
 
 def test_nesting_at_the_budget_parses():
@@ -407,6 +432,24 @@ def test_nesting_at_the_budget_parses():
     assert parse_polynomial("(-" * half + "y" + ")" * half) == Y
     # Depth is nesting, not a count: siblings do not add up.
     assert parse_polynomial(" + ".join(["(" * MAX_NESTING + "z" + ")" * MAX_NESTING] * 3)) == 3 * Z
+    for opener, closer, sign in (("(", ")", 1), ("-", "", -1)):
+        siblings = " + ".join([opener + "x" + closer] * 100) + " + "
+        deep = siblings + opener * MAX_NESTING + "y" + closer * MAX_NESTING
+        assert parse_polynomial(deep) == sign * 100 * X + sign ** MAX_NESTING * Y
+
+
+def test_parser_budgets_admit_exactly_the_budget(monkeypatch):
+    # Each budget lowered to the size of one product or one power: equal parses, one less raises.
+    monkeypatch.setattr(grammar, "MAX_PRODUCT_PAIRS", 6)
+    assert parse_polynomial("(x + y)*(x + y + z)") == (X + Y) * (X + Y + Z)
+    monkeypatch.setattr(grammar, "MAX_PRODUCT_PAIRS", 5)
+    with pytest.raises(DomainError, match="a product of 2 and 3 terms exceeds the pair budget 5$"):
+        parse_polynomial("(x + y)*(x + y + z)")
+    monkeypatch.setattr(grammar, "MAX_POWER_TERMS", 6)  # C(4, 2) = 6 terms
+    assert parse_polynomial("(x + y + z)^2") == (X + Y + Z) ** 2
+    monkeypatch.setattr(grammar, "MAX_POWER_TERMS", 5)
+    with pytest.raises(DomainError, match="3-term base to the power 2 exceeds the term budget 5$"):
+        parse_polynomial("(x + y + z)^2")
 
 
 def test_product_past_the_pair_budget_raises_before_multiplying(monkeypatch):

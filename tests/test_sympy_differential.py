@@ -199,6 +199,27 @@ def test_kernel_coordinates_inverts_the_sympy_substitution(c):
     assert kernel_coordinates(from_kernel_sympy(c)) == c
 
 
+def test_kernel_and_image_of_the_shear_meet_in_z_times_the_kernel():
+    # The lemma behind decompose's unchecked division of f2 - alpha*y by z:
+    # z^a p^b is D of a polynomial iff a >= 1.  D keeps the degree, so in
+    # degree d = a + 2b the image is the column space of D on the degree-d
+    # monomials, and membership is an exact rank test.
+    D = sympy_derivation((SY, SZ, R.zero))
+    for d in range(7):
+        monomials = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
+
+        def column(g):
+            coefficients = from_sympy(g)
+            return [Rational(coefficients.get(m, 0)) for m in monomials]
+
+        image = Matrix([column(D(R.from_dict({m: QQ(1)}))) for m in monomials]).T
+        rank = image.rank()
+        for a in range(d % 2, d + 1, 2):
+            target = SYMPY_KERNEL[0] ** a * SYMPY_KERNEL[1] ** ((d - a) // 2)
+            assert D(target) == R.zero
+            assert (image.row_join(Matrix(column(target))).rank() == rank) == (a >= 1), (a, d)
+
+
 @DIFFERENTIAL
 @given(
     st.integers(0, 2),
