@@ -30,7 +30,7 @@ from .derivation import (
     kernel_coordinates,
     nagata_derivation,
 )
-from .errors import DomainError, ParseError
+from .errors import Cremona3Error, DomainError, ParseError
 from .exactpoly import _check_dimension
 from .grammar import (
     _check_printable_power,
@@ -72,25 +72,6 @@ def _parse_rational_token(text: str) -> Fraction:
         raise ParseError(f"not a rational number: {text!r}") from exc
 
 
-#: The position that ends the grammar's nesting and digit-limit DomainErrors.
-_POSITION = re.compile(r"(.*) \(line 1, column (\d+)\)")
-
-
-def _parse_tail(lineno: int, raw: str, parse, tail: str, *args):
-    """parse(tail, *args) for ``tail``, a suffix of the stripped word-file line
-    ``raw``: an error that names a place in ``tail`` names it in the file."""
-    offset = len(raw.rstrip()) - len(tail)
-    try:
-        return parse(tail, *args)
-    except ParseError as exc:  # the grammar's parse errors all carry a position
-        raise type(exc)(exc._message, lineno, offset + exc.column) from None
-    except DomainError as exc:
-        place = _POSITION.fullmatch(str(exc))
-        if place is None:
-            raise
-        raise type(exc)(f"{place[1]} (line {lineno}, column {offset + int(place[2])})") from None
-
-
 def _read_word_file(path: str, dimension: int) -> AutWord:
     if dimension > 0:  # a dimension below 1 keeps the error the empty word gives it
         _check_dimension(dimension)
@@ -98,46 +79,46 @@ def _read_word_file(path: str, dimension: int) -> AutWord:
     nagata = nagata_derivation()
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            # surrogateescape decodes each byte that is not UTF-8 to U+DC80..U+DCFF.
-            bad = re.search("[\udc80-\udcff]", raw)
-            if bad:
-                raise ParseError("word file is not valid UTF-8", lineno, bad.start() + 1)
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            kind, _, rest = line.partition(" ")
-            rest = rest.strip()
-            if kind == "affine":
-                numbers = [_parse_rational_token(tok) for tok in rest.split()]
-                if len(numbers) != dimension * dimension + dimension:
-                    raise ParseError(
-                        f"affine generator needs {dimension * dimension + dimension} rationals, "
-                        f"got {len(numbers)}",
-                        lineno,
-                        1,
-                    )
-                matrix = [
-                    numbers[i * dimension : (i + 1) * dimension] for i in range(dimension)
-                ]
-                factors.append(AffineGenerator(matrix, numbers[dimension * dimension :]))
-            elif kind == "triangular":
-                components = _parse_tail(lineno, raw, parse_map, rest, dimension)
-                factors.append(TriangularGenerator(components))
-            elif kind == "exp":
-                scale_text, _, q_text = rest.partition(" ")
-                if dimension != 3:
-                    raise DomainError("exp generators use the fixed shear derivation in dimension 3")
-                factors.append(
-                    ExponentialGenerator(
-                        _parse_tail(lineno, raw, parse_polynomial, q_text, 3),
-                        nagata,
-                        _parse_rational_token(scale_text),
-                    )
-                )
-            elif kind == "scalar":
-                factors.append(ScalarGenerator(_parse_rational_token(rest), dimension))
-            else:
-                raise ParseError(f"unknown generator kind {kind!r}", lineno, 1)
+            try:
+                # surrogateescape decodes each byte that is not UTF-8 to U+DC80..U+DCFF.
+                bad = re.search("[\udc80-\udcff]", raw)
+                if bad:
+                    raise ParseError("word file is not valid UTF-8", None, bad.start() + 1)
+                body = raw.rstrip()
+                line = body.lstrip()
+                if not line or line.startswith("#"):
+                    continue
+                kind, _, rest = line.partition(" ")
+                rest = rest.strip()
+                if kind == "affine":
+                    numbers = [_parse_rational_token(tok) for tok in rest.split()]
+                    if len(numbers) != dimension * dimension + dimension:
+                        raise ParseError(
+                            f"affine generator needs {dimension * dimension + dimension} rationals, "
+                            f"got {len(numbers)}"
+                        )
+                    matrix = [
+                        numbers[i * dimension : (i + 1) * dimension] for i in range(dimension)
+                    ]
+                    factors.append(AffineGenerator(matrix, numbers[dimension * dimension :]))
+                elif kind == "triangular":
+                    # Padded to where it stands in the line, so the grammar's columns are the file's.
+                    factors.append(TriangularGenerator(parse_map(rest.rjust(len(body)), dimension)))
+                elif kind == "exp":
+                    scale_text, _, q_text = rest.partition(" ")
+                    if dimension != 3:
+                        raise DomainError(
+                            "exp generators use the fixed shear derivation in dimension 3"
+                        )
+                    q = parse_polynomial(q_text.rjust(len(body)), 3)
+                    factors.append(ExponentialGenerator(q, nagata, _parse_rational_token(scale_text)))
+                elif kind == "scalar":
+                    factors.append(ScalarGenerator(_parse_rational_token(rest), dimension))
+                else:
+                    raise ParseError(f"unknown generator kind {kind!r}")
+            except Cremona3Error as exc:
+                # Every error of a line names the line, and column 1 when it has no column of its own.
+                raise type(exc)(exc._message, lineno, exc.column or 1) from None
     return AutWord(dimension, factors)
 
 
@@ -267,6 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify_paper)
 
+    # A value that starts with one "-", as "-x" or "-1/2", is a value, not an option:
+    # argparse's own rule (a private attribute, pinned by a test) takes only numbers so.
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile("-(?!-)")
     return parser
 
 
@@ -278,10 +263,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -3,11 +3,26 @@
 Two broad categories matter to callers: :class:`ParseError` (bad input
 text) and :class:`DomainError` (a value violates a mathematical
 precondition).  The command line maps them to exit codes 2 and 3.
+
+An error that names its place in the input is raised as
+``cls(message, line, column)``.  The place is data, :class:`Cremona3Error`
+alone writes it into the text (``" (line L, column C)"``), and a caller
+that knows a wider place raises ``type(exc)(exc._message, line, column)``.
 """
 
 
 class Cremona3Error(Exception):
     """Base class for every error raised by this package."""
+
+    # The place stays in args: an __init__ here would cost every raise a Python call.
+    _message = property(lambda self: self.args[0])  # the text without the place
+    line = property(lambda self: self.args[1] if len(self.args) > 1 else None)
+    column = property(lambda self: self.args[2] if len(self.args) > 2 else None)
+
+    def __str__(self):
+        if self.line is None:
+            return str(self._message)
+        return f"{self._message} (line {self.line}, column {self.column})"
 
 
 class DomainError(Cremona3Error):
@@ -64,14 +79,6 @@ class InvalidGenerator(DomainError):
 
 class ParseError(Cremona3Error):
     """Input text does not match the expression grammar."""
-
-    def __init__(self, message, line=None, column=None):
-        self.line = line
-        self.column = column
-        self._message = message  # without the position, to place it again
-        if line is not None:
-            message = f"{message} (line {line}, column {column})"
-        super().__init__(message)
 
 
 class UnknownVariable(ParseError):

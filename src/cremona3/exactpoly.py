@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd, lcm
+from math import lcm
 from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
@@ -165,11 +165,8 @@ class Polynomial:
         # self + sign * other over the lcm of the two denominators.
         if not other._terms:
             return self
-        da, db = self._den, other._den
-        g = gcd(da, db)
-        acc = scale_terms(self._terms, db // g)
-        iadd_scaled_terms(acc, other._terms, sign * (da // g))
-        return Polynomial._make(self._dimension, *normalize(da // g * db, acc))
+        parts = [(1, (self._den, self._terms)), (sign, (other._den, other._terms))]
+        return Polynomial._make(self._dimension, *_sum(parts))
 
     def __add__(self, other):
         other = self._coerce(other)

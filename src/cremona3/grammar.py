@@ -117,18 +117,20 @@ def _digit_limit() -> int:
     return get_limit() if get_limit else 0
 
 
-def _int_literal(digits: str, where: str) -> int:
+def _int_literal(digits: str, where: str, line=None, column=None) -> int:
     try:
         return int(digits)
     except ValueError:  # past the interpreter's limit on integer string conversion
         raise DomainError(
             f"integer literal of {len(digits)} digits exceeds the limit of "
-            f"{_digit_limit()} digits{where}"
+            f"{_digit_limit()} digits{where}",
+            line,
+            column,
         ) from None
 
 
 def _int_value(tok: _Token) -> int:
-    return _int_literal(tok.text, f" (line {tok.line}, column {tok.column})")
+    return _int_literal(tok.text, "", tok.line, tok.column)
 
 
 class _Parser:
@@ -166,8 +168,7 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise DomainError(
-                f"parentheses and unary minus nested deeper than {MAX_NESTING} "
-                f"(line {tok.line}, column {tok.column})"
+                f"parentheses and unary minus nested deeper than {MAX_NESTING}", tok.line, tok.column
             )
 
     def parse_expr(self) -> tuple[int, dict]:

@@ -354,13 +354,13 @@ def test_character_exponent_notation_matches_plain_digits(capsys):
         assert run(capsys, "character", "--k", "1", "--beta", beta, "--gamma", "1") == plain
 
 
-def _exits_3_quickly(capsys, *argv):
+def _exits_3_quickly(capsys, *argv, place=""):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
     assert err == "error: decimal exponent exceeds the limit of " \
-        f"{sys.get_int_max_str_digits()} digits in a rational argument\n"
+        f"{sys.get_int_max_str_digits()} digits in a rational argument{place}\n"
 
 
 @pytest.mark.parametrize("beta", ["1e4000000", "1.5E-4_000_000", " 2e99999999 ", "1e" + "9" * 5000])
@@ -462,7 +462,7 @@ def test_invert_triangular_word_in_dimension_0_exits_3(tmp_path, capsys):
     word.write_text("triangular (x)\n")
     code, out, err = run(capsys, "invert", "--word", str(word), "--dim", "0")
     assert (code, out) == (3, "")
-    assert err == "error: dimension must be a positive integer, got 0\n"
+    assert err == "error: dimension must be a positive integer, got 0 (line 1, column 1)\n"
     # A dimension below 1 is not checked up front: an empty word keeps its own error.
     word.write_text("")
     for dim in ("0", "-1"):
@@ -473,8 +473,8 @@ def test_invert_triangular_word_in_dimension_0_exits_3(tmp_path, capsys):
 def test_invert_exp_word_outside_dimension_3_exits_3(tmp_path, capsys):
     word = tmp_path / "word.txt"
     word.write_text("exp 1 x1\n")
-    expected = (3, "", "error: exp generators use the fixed shear derivation in dimension 3\n")
-    assert run(capsys, "invert", "--word", str(word), "--dim", "2") == expected
+    message = "exp generators use the fixed shear derivation in dimension 3 (line 1, column 1)"
+    assert run(capsys, "invert", "--word", str(word), "--dim", "2") == (3, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -490,6 +490,28 @@ def test_invert_exp_word_outside_dimension_3_exits_3(tmp_path, capsys):
             "scalar 2\n\ntriangular (" + "-" * 150 + "x, y, z)\n",
             "parentheses and unary minus nested deeper than 100 (line 3, column 113)",
             id="nesting",
+        ),
+        # An error with no column of its own, on any kind of line, names column 1.
+        pytest.param(
+            "scalar 2\ntriangular (x, y + x, z)\n",
+            "component 1 must depend on x_2 linearly and otherwise only on later variables "
+            "(line 2, column 1)",
+            id="shape",
+        ),
+        pytest.param(
+            "triangular (x, y, z)\naffine q 0 0 0 1 0 0 0 1 0 0 0\n",
+            "not a rational number: 'q' (line 2, column 1)",
+            id="affine-rational",
+        ),
+        pytest.param(
+            "triangular (x, y, z)\n\n  affine 1 1 0 1 1 0 0 0 1 0 0 0\n",
+            "affine matrix is singular (line 3, column 1)",
+            id="affine-singular",
+        ),
+        pytest.param(
+            "triangular (x, y, z)\nscalar 0\n",
+            "scalar generator needs a nonzero ratio (line 2, column 1)",
+            id="scalar-zero",
         ),
     ],
 )
@@ -523,6 +545,12 @@ def _assert_word_file_error(tmp_path, capsys, text, message):
             "scalar 2\nexp 1 " + "9" * 5000 + "*z\n",
             "integer literal of 5000 digits exceeds the limit of {limit} digits (line 2, column 7)",
             id="digit-limit",
+        ),
+        pytest.param("exp 1/0 x*z\n", "not a rational number: '1/0' (line 1, column 1)", id="scale"),
+        pytest.param(
+            "scalar 2\n  exp 1 y\n",
+            "exponent must lie in the kernel of the derivation (line 2, column 1)",
+            id="not-kernel",
         ),
     ],
 )
@@ -567,7 +595,7 @@ def test_invert_huge_decimal_exponent_exits_3_at_once(tmp_path, capsys, line):
     _long_literals_are_limited()
     word = tmp_path / "word.txt"
     word.write_text(line + "\n")
-    _exits_3_quickly(capsys, "invert", "--word", str(word))
+    _exits_3_quickly(capsys, "invert", "--word", str(word), place=" (line 1, column 1)")
 
 
 @pytest.mark.parametrize(
@@ -676,3 +704,24 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+def test_a_value_that_starts_with_minus_is_a_value(capsys):
+    # Each subparser's private _negative_number_matcher takes such tokens as values:
+    # if argparse stops reading it, these calls exit 2 again.
+    assert run(capsys, "parse", "-x") == (0, "-x\n", "")
+    assert run(capsys, "parse", "--dim", "2", "-x1") == (0, "-x1\n", "")
+    assert run(capsys, "parse", "--", "-x") == (0, "-x\n", "")
+    assert run(capsys, "kernel-coords", "-z") == (0, "-Z\n", "")
+    assert run(capsys, "character", "--k", "1", "--beta", "-1/2", "--gamma", "1") == (0, "-1/8\n", "")
+    with_equals = run(capsys, "exp", "--q=-z")
+    assert with_equals[0] == 0 and run(capsys, "exp", "--q", "-z") == with_equals
+    # An unknown option and -h stay options.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["parse", "--bogus", "x"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["parse", "-h"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cremona3 parse")

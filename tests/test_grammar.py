@@ -1,8 +1,10 @@
 """Grammar: golden formats, parse errors, and the round-trip law."""
 
+import ast
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +189,18 @@ def test_parse_error_reports_line():
         parse_polynomial("x +\n 2y")
     assert (info.value.line, info.value.column) == (2, 3)
     assert parse_polynomial("x +\ny") == X + Y
+
+
+def test_only_errors_writes_a_position_into_a_message():
+    # A position is data on the error, (line, column), and errors.py alone puts it
+    # into the message text: no other module holds a string (or an f-string part)
+    # with "(line ", so no caller has to read a position back out of a message.
+    writers = set()
+    for path in Path(exactpoly.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and "(line " in str(node.value):
+                writers.add(path.stem)
+    assert writers == {"errors"}
 
 
 @pytest.mark.parametrize("text", ["²", "1²", "x^²"])
