@@ -72,6 +72,12 @@ def _parse_rational_token(text: str) -> Fraction:
         raise ParseError(f"not a rational number: {text!r}") from exc
 
 
+def _first_field(text: str) -> tuple[str, str]:
+    # Fields of a word-file line are separated by any run of whitespace, tabs too.
+    first, *rest = text.split(None, 1) or [""]
+    return first, "".join(rest)
+
+
 def _read_word_file(path: str, dimension: int) -> AutWord:
     if dimension > 0:  # a dimension below 1 keeps the error the empty word gives it
         _check_dimension(dimension)
@@ -88,8 +94,7 @@ def _read_word_file(path: str, dimension: int) -> AutWord:
                 line = body.lstrip()
                 if not line or line.startswith("#"):
                     continue
-                kind, _, rest = line.partition(" ")
-                rest = rest.strip()
+                kind, rest = _first_field(line)
                 if kind == "affine":
                     numbers = [_parse_rational_token(tok) for tok in rest.split()]
                     if len(numbers) != dimension * dimension + dimension:
@@ -105,7 +110,7 @@ def _read_word_file(path: str, dimension: int) -> AutWord:
                     # Padded to where it stands in the line, so the grammar's columns are the file's.
                     factors.append(TriangularGenerator(parse_map(rest.rjust(len(body)), dimension)))
                 elif kind == "exp":
-                    scale_text, _, q_text = rest.partition(" ")
+                    scale_text, q_text = _first_field(rest)
                     if dimension != 3:
                         raise DomainError(
                             "exp generators use the fixed shear derivation in dimension 3"

@@ -26,12 +26,11 @@ lie in the kernel ring).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ._termops import EXPONENT_BITS, FIELD_MASK, derive_terms, mul_terms, normalize
 from .errors import BoundExceeded, DimensionMismatch, DomainError, NotInKernelRing
@@ -56,8 +55,7 @@ class Nilpotency(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class NilpotencyReport:
+class NilpotencyReport(NamedTuple):
     """Outcome of the semi-decision procedure for local nilpotency.
 
     ``witness`` is ``(variable index, iteration count)`` for the
@@ -70,15 +68,16 @@ class NilpotencyReport:
     reason: Optional[str] = None
 
 
-@dataclass(frozen=True)
 class Derivation:
-    """A derivation of C[x_1..x_n], stored as the images D(x_i)."""
+    """A derivation of C[x_1..x_n], stored as the images D(x_i).
 
-    images: tuple[Polynomial, ...]
+    Immutable; equality, hash and repr read the images alone.
+    """
 
-    def __post_init__(self):
-        images = tuple(self.images)
-        object.__setattr__(self, "images", images)
+    __slots__ = ("_images", "_common", "_scaled")
+
+    def __init__(self, images):
+        images = tuple(images)
         n = len(images)
         if n == 0:
             raise DimensionMismatch("a derivation needs at least one image")
@@ -87,15 +86,31 @@ class Derivation:
                 raise DimensionMismatch(
                     f"image {img!r} has dimension {img.dimension}, expected {n}"
                 )
-        # derive_terms' input, set up once; not a field, so ==, hash and repr read the images.
+        self._images = images
+        # derive_terms' input, set up once.
         common = lcm(*{img._den for img in images})
         scaled = ((EXPONENT_BITS * i, im._terms, common // im._den) for i, im in enumerate(images))
-        object.__setattr__(self, "_common", common)
-        object.__setattr__(self, "_scaled", tuple(s for s in scaled if s[1]))
+        self._common = common
+        self._scaled = tuple(s for s in scaled if s[1])
+
+    @property
+    def images(self) -> tuple[Polynomial, ...]:
+        return self._images
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._images == other._images
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self._images,))
+
+    def __repr__(self):
+        return f"Derivation(images={self._images!r})"
 
     @property
     def dimension(self) -> int:
-        return len(self.images)
+        return len(self._images)
 
     def apply(self, f: Polynomial) -> Polynomial:
         """D(f); linear in f and satisfies the Leibniz rule.

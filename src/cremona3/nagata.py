@@ -25,16 +25,14 @@ action maps the exponent c(Z, P) to (g/b) * c(g Z, b^2 P)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 from ._termops import EXPONENT_BITS, mul_terms
-from .autgroup import PolyMap
 from .derivation import Derivation, from_kernel_coordinates, nagata_derivation, nagata_invariant
 from .errors import DimensionMismatch, DomainError, InvalidGenerator, NotMonomialInK
-from .exactpoly import Polynomial, _sum, variables
+from .exactpoly import PolyMap, Polynomial, _sum, variables
 
 
 class StandardObjects(NamedTuple):
@@ -54,20 +52,40 @@ def standard_objects() -> StandardObjects:
     return StandardObjects(D=D, p=p, h=h, h_prime=h_prime)
 
 
-@dataclass(frozen=True)
 class TorusElement:
-    """The diagonal map (beta^2/gamma * x, beta * y, gamma * z)."""
+    """The diagonal map (beta^2/gamma * x, beta * y, gamma * z).
 
-    beta: Fraction
-    gamma: Fraction
+    Immutable; equality, hash and repr read beta and gamma.
+    """
 
-    def __post_init__(self):
-        beta = Fraction(self.beta)
-        gamma = Fraction(self.gamma)
+    __slots__ = ("_beta", "_gamma")
+
+    def __init__(self, beta, gamma):
+        beta = Fraction(beta)
+        gamma = Fraction(gamma)
         if not beta or not gamma:
             raise InvalidGenerator("torus parameters must be nonzero")
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "gamma", gamma)
+        self._beta = beta
+        self._gamma = gamma
+
+    @property
+    def beta(self) -> Fraction:
+        return self._beta
+
+    @property
+    def gamma(self) -> Fraction:
+        return self._gamma
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self._beta, self._gamma) == (other._beta, other._gamma)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self._beta, self._gamma))
+
+    def __repr__(self):
+        return f"TorusElement(beta={self._beta!r}, gamma={self._gamma!r})"
 
     def weights(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.beta ** 2 / self.gamma, self.beta, self.gamma)

@@ -12,9 +12,8 @@ reproduces the exact run.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from ._termops import normalize, pack
 from .autgroup import (
@@ -40,15 +39,13 @@ from .nagata import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(NamedTuple):
     """Sample counts for the randomized checks."""
 
     kernel_roundtrips: int

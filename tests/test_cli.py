@@ -541,6 +541,7 @@ def _assert_word_file_error(tmp_path, capsys, text, message):
             "expected a rational, a variable or '(', found 'end of input' (line 2, column 12)",
         ),
         ("\n\texp 1  x*z $\n", "unexpected character '$' (line 2, column 13)"),
+        pytest.param("exp\t1\tx*z $\n", "unexpected character '$' (line 1, column 11)", id="tabs"),
         pytest.param(
             "scalar 2\nexp 1 " + "9" * 5000 + "*z\n",
             "integer literal of 5000 digits exceeds the limit of {limit} digits (line 2, column 7)",
@@ -556,6 +557,20 @@ def _assert_word_file_error(tmp_path, capsys, text, message):
 )
 def test_invert_exp_parse_error_names_its_place_in_the_file(tmp_path, capsys, text, message):
     _assert_word_file_error(tmp_path, capsys, text, message)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["exp\t1 x*z - 1/2*y^2", "scalar\t2", "exp 1\tx*z - 1/2*y^2", "triangular\t(x + y^2, y + 1, z)"],
+    ids=["exp-kind", "scalar-kind", "exp-scale", "triangular-kind"],
+)
+def test_invert_word_fields_are_separated_by_any_whitespace(tmp_path, capsys, line):
+    word = tmp_path / "word.txt"
+    word.write_text(line + "\n")
+    with_tab = run(capsys, "invert", "--word", str(word))
+    word.write_text(line.replace("\t", " ") + "\n")
+    assert with_tab == run(capsys, "invert", "--word", str(word))
+    assert with_tab[0] == 0
 
 
 def test_invert_unknown_generator_kind_exits_2(tmp_path, capsys):
@@ -683,18 +698,31 @@ def test_verify_paper_failure_exits_1(capsys, monkeypatch):
     assert out == "FAIL broken-identity: component 1 differs\n"
 
 
-def test_loading_the_cli_leaves_the_suite_unimported():
+@pytest.mark.parametrize(
+    "statement, unloaded",
+    [
+        pytest.param(
+            "import cremona3; cremona3.standard_objects()",
+            ("dataclasses", "inspect", "cremona3.autgroup", "cremona3.grammar", "cremona3.verify",
+             "cremona3.cli"),
+            id="core",
+        ),
+        pytest.param("import cremona3.cli", ("dataclasses", "cremona3.verify"), id="cli"),
+    ],
+)
+def test_a_cold_import_leaves_the_unused_layers_unimported(statement, unloaded):
+    # Each module loaded by a cold process is paid for by every answer it gives.
     import subprocess
     from pathlib import Path
 
     import cremona3
 
-    probe = "import sys, cremona3.cli; print('cremona3.verify' in sys.modules)"
+    probe = f"import sys; {statement}; print(sorted(set({unloaded!r}) & set(sys.modules)))"
     src = str(Path(cremona3.__file__).resolve().parent.parent)
     done = subprocess.run(
         [sys.executable, "-c", probe], env={"PYTHONPATH": src}, capture_output=True, text=True
     )
-    assert (done.returncode, done.stdout) == (0, "False\n")
+    assert (done.returncode, done.stdout) == (0, "[]\n")
 
 
 # -- argparse usage errors ------------------------------------------------------------

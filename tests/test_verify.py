@@ -5,14 +5,13 @@ variant and runs one check of the suite, which must report FAIL with the
 detail of the comparison that caught the fault.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 import cremona3.verify as verify
-from cremona3 import Derivation, PolyMap, Polynomial, TorusElement, variables
+from cremona3 import Decomposition, Derivation, PolyMap, Polynomial, TorusElement, variables
 
 X, Y, Z = variables(3)
 ORIGINAL = {
@@ -43,7 +42,7 @@ def _zero_derivation():
 
 
 def _reconstruct_doubled(d):
-    return ORIGINAL["reconstruct"](dataclasses.replace(d, q=d.q * 2))
+    return ORIGINAL["reconstruct"](Decomposition(d.alpha, d.w, d.q * 2))
 
 
 def _restless_formatter():
