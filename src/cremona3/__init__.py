@@ -9,15 +9,19 @@ Polynomial arithmetic runs on one pure-Python kernel module
 (``cremona3._termops``): a polynomial is a positive integer denominator
 plus integer coefficients keyed by packed monomials, and
 ``Polynomial.terms`` shows it as ``fractions.Fraction`` coefficients.
-
-``import cremona3`` loads the computing core: polynomials and maps
-(``exactpoly``), derivations, the Nagata objects and the centralizer.
-The generator-word layer (``autgroup``), the parser and formatter
-(``grammar``) and the identity suite (``verify``) load on first use of
-one of their names, so a process that computes with the core alone
-compiles none of them.
 """
 
+from .autgroup import (
+    AffineGenerator,
+    AutWord,
+    ExponentialGenerator,
+    PolyMap,
+    ScalarGenerator,
+    TriangularGenerator,
+    commutes,
+    compose,
+    parse_poly_map,
+)
 from .centralizer import (
     Decomposition,
     decompose,
@@ -52,11 +56,15 @@ from .errors import (
 )
 from .exactpoly import (
     MINUS_INFINITY,
-    PolyMap,
     Polynomial,
-    commutes,
-    compose,
     variables,
+)
+from .grammar import (
+    format_map,
+    format_polynomial,
+    format_rational,
+    parse_map,
+    parse_polynomial,
 )
 from .nagata import (
     StandardObjects,
@@ -73,43 +81,11 @@ from .nagata import (
 __version__ = "0.1.0"
 
 
-#: Names bound on first use, and the module that defines each.  The word and
-#: parser layers and the suite are imported then: computing with the core needs
-#: none of them, and importing them eagerly would slow every cold start.
-_LAZY = {
-    **dict.fromkeys(
-        (
-            "AffineGenerator",
-            "AutWord",
-            "ExponentialGenerator",
-            "ScalarGenerator",
-            "TriangularGenerator",
-            "parse_poly_map",
-        ),
-        "autgroup",
-    ),
-    **dict.fromkeys(
-        ("format_map", "format_polynomial", "format_rational", "parse_map", "parse_polynomial"),
-        "grammar",
-    ),
-    "verify_theorem_identities": "verify",
-}
-
-#: Lazy submodules that ``cremona3.<name>`` reaches without an import of its own.
-_LAZY_MODULES = ("autgroup", "grammar")
-
-
 def __getattr__(name):
-    from importlib import import_module
+    # The suite module is imported on first use only: computing needs none
+    # of it, and importing it eagerly would slow every cold start.
+    if name == "verify_theorem_identities":
+        from .verify import verify_theorem_identities
 
-    # The object is not cached here: a name first read while a wrapper (the
-    # bench's tracer) replaces it in its module would keep that wrapper.
-    if name in _LAZY:
-        return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
-    if name in _LAZY_MODULES:
-        return import_module(f"{__name__}.{name}")
+        return verify_theorem_identities
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted({*globals(), *_LAZY, *_LAZY_MODULES})

@@ -2,11 +2,9 @@
 
 A word is a list of generators in functional order (leftmost applied
 last); ``AutWord.evaluate`` multiplies the word out to an explicit polynomial
-map (``exactpoly.PolyMap``) with ``exactpoly.compose``, which substitutes
-all of a map's components in one pass that computes each monomial image
-once.  This module and ``grammar`` load on first use: ``import cremona3``
-binds the generator classes and ``parse_poly_map`` lazily, so a process
-that neither builds a word nor parses text compiles neither.
+map via substitution.  Composition follows (f o g)(a) = f(g(a)), i.e.
+``compose(f, g)`` substitutes g's components into f, all of f's
+components in one pass that computes each monomial image once.
 
 Evaluation (``AutWord.evaluate``) multiplies each run of affine factors
 out on integer forms, so a word of affine factors alone substitutes
@@ -52,12 +50,78 @@ from . import grammar
 from ._termops import EXPONENT_BITS, normalize, scale_terms
 from .derivation import DEFAULT_BOUND, Derivation, Nilpotency
 from .errors import DimensionMismatch, InvalidGenerator
+from .exactpoly import Polynomial, _substitute_all
 
-# PolyMap, compose and commutes are defined in exactpoly and stay bound here:
-# the per-layer tracer (bench/tracer.py) looks compose and PolyMap.compose up
-# in this module, and bench/test_bench.py checks that cremona3.compose is
-# autgroup.compose once the tracer is removed.
-from .exactpoly import PolyMap, Polynomial, _substitute_all, commutes, compose
+
+class PolyMap:
+    """An explicit polynomial self-map of affine n-space.
+
+    Carries no invertibility promise; invertible maps arrive as words.
+    """
+
+    __slots__ = ("_components",)
+
+    def __init__(self, components: Sequence[Polynomial]):
+        components = tuple(components)
+        if not components:
+            raise DimensionMismatch("a map needs at least one component")
+        n = len(components)
+        for c in components:
+            if c.dimension != n:
+                raise DimensionMismatch(
+                    f"component dimension {c.dimension} != map dimension {n}"
+                )
+        self._components = components
+
+    @classmethod
+    def identity(cls, dimension: int) -> "PolyMap":
+        return cls(tuple(Polynomial.variable(i, dimension) for i in range(dimension)))
+
+    @property
+    def dimension(self) -> int:
+        return len(self._components)
+
+    @property
+    def components(self) -> tuple[Polynomial, ...]:
+        return self._components
+
+    def compose(self, other: "PolyMap") -> "PolyMap":
+        """self o other: apply other first."""
+        if self.dimension != other.dimension:
+            raise DimensionMismatch(
+                f"cannot compose maps of dimensions {self.dimension} and {other.dimension}"
+            )
+        return PolyMap(_substitute_all(self._components, other._components))
+
+    def is_identity(self) -> bool:
+        return self == PolyMap.identity(self.dimension)
+
+    def __eq__(self, other):
+        if isinstance(other, PolyMap):
+            return self._components == other._components
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._components)
+
+    def __str__(self):
+        return grammar.format_map(self._components)
+
+    def __repr__(self):
+        return f"PolyMap({str(self)!r})"
+
+
+def compose(f: PolyMap, g: PolyMap) -> PolyMap:
+    return f.compose(g)
+
+
+def commutes(f: PolyMap, g: PolyMap) -> bool:
+    """True iff f o g equals g o f exactly."""
+    if f.dimension != g.dimension:
+        raise DimensionMismatch(
+            f"cannot compare maps of dimensions {f.dimension} and {g.dimension}"
+        )
+    return f.compose(g) == g.compose(f)
 
 
 def parse_poly_map(text: str, dimension: Optional[int] = None) -> PolyMap:

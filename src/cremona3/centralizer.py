@@ -33,25 +33,26 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._termops import EXPONENT_BITS, mul_terms
-from .derivation import _Z_SHIFT, _read_off
+from .autgroup import PolyMap
+from .derivation import _Z_SHIFT, _read_off, _Record
 from .errors import (
     DimensionMismatch,
     MalformedCentralizerElement,
     NotInCentralizer,
 )
-from .exactpoly import PolyMap, Polynomial, _sum
+from .exactpoly import Polynomial, _sum
+from .grammar import format_polynomial
 from .nagata import _scaled_shear, standard_objects
 
 
-class Decomposition:
+class Decomposition(_Record):
     """The triple (alpha, w, q) of the semidirect splitting.
 
     ``alpha`` scales all three coordinates, ``w`` is the z-only shift of
-    x, and ``q`` is the kernel exponent in coordinates (Z, P).  Immutable;
-    equality, hash and repr read the three fields.
+    x, and ``q`` is the kernel exponent in coordinates (Z, P).
     """
 
-    __slots__ = ("_alpha", "_w", "_q")
+    __slots__ = _fields = ("alpha", "w", "q")
 
     def __init__(self, alpha, w: Polynomial, q: Polynomial):
         alpha = Fraction(alpha)
@@ -61,32 +62,9 @@ class Decomposition:
             raise MalformedCentralizerElement("the shift component must depend on z alone")
         if q.dimension != 2:
             raise MalformedCentralizerElement("the kernel exponent must be given in (Z, P)")
-        self._alpha = alpha
-        self._w = w
-        self._q = q
-
-    @property
-    def alpha(self) -> Fraction:
-        return self._alpha
-
-    @property
-    def w(self) -> Polynomial:
-        return self._w
-
-    @property
-    def q(self) -> Polynomial:
-        return self._q
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self._alpha, self._w, self._q) == (other._alpha, other._w, other._q)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self._alpha, self._w, self._q))
-
-    def __repr__(self):
-        return f"Decomposition(alpha={self._alpha!r}, w={self._w!r}, q={self._q!r})"
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "q", q)
 
 
 def is_in_centralizer(f: PolyMap) -> bool:
@@ -154,8 +132,6 @@ def decompose(f: PolyMap) -> Decomposition:
     f1, f2, f3 = f.components
 
     if f3.exponents() != ((0, 0, 1),):
-        from .grammar import format_polynomial
-
         raise MalformedCentralizerElement(
             f"third component must be a nonzero multiple of z, got {format_polynomial(f3)}"
         )

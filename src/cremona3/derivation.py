@@ -30,6 +30,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from ._termops import EXPONENT_BITS, FIELD_MASK, derive_terms, mul_terms, normalize
@@ -68,13 +69,56 @@ class NilpotencyReport(NamedTuple):
     reason: Optional[str] = None
 
 
-class Derivation:
-    """A derivation of C[x_1..x_n], stored as the images D(x_i).
+class _Record:
+    """An immutable record: its fields are slots that ``__init__`` sets once
+    through ``object.__setattr__``, assigning or deleting one raises
+    ``AttributeError``, and equality, hash, repr, copy, pickle and ``match``
+    read the fields named in ``_fields``.
 
-    Immutable; equality, hash and repr read the images alone.
+    The base of ``Derivation``, ``nagata.TorusElement`` and
+    ``centralizer.Decomposition``, which check their input.
     """
 
-    __slots__ = ("_images", "_common", "_scaled")
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = cls._fields
+        # The fields in one C call, for == and hash (the value itself when there is one field).
+        cls._key = staticmethod(attrgetter(*cls._fields))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since __setattr__ refuses.
+        return type(self), self._values()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class Derivation(_Record):
+    """A derivation of C[x_1..x_n], stored as the images D(x_i)."""
+
+    __slots__ = ("images", "_common", "_scaled")
+    _fields = ("images",)
 
     def __init__(self, images):
         images = tuple(images)
@@ -86,31 +130,16 @@ class Derivation:
                 raise DimensionMismatch(
                     f"image {img!r} has dimension {img.dimension}, expected {n}"
                 )
-        self._images = images
-        # derive_terms' input, set up once.
+        # derive_terms' input, set up once; not a field, so ==, hash and repr read the images.
         common = lcm(*{img._den for img in images})
         scaled = ((EXPONENT_BITS * i, im._terms, common // im._den) for i, im in enumerate(images))
-        self._common = common
-        self._scaled = tuple(s for s in scaled if s[1])
-
-    @property
-    def images(self) -> tuple[Polynomial, ...]:
-        return self._images
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._images == other._images
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self._images,))
-
-    def __repr__(self):
-        return f"Derivation(images={self._images!r})"
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "_common", common)
+        object.__setattr__(self, "_scaled", tuple(s for s in scaled if s[1]))
 
     @property
     def dimension(self) -> int:
-        return len(self._images)
+        return len(self.images)
 
     def apply(self, f: Polynomial) -> Polynomial:
         """D(f); linear in f and satisfies the Leibniz rule.

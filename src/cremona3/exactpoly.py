@@ -12,13 +12,6 @@ also equals, and hashes like, its ``Fraction`` value.
 immutable; every operation is a pure function, so polynomials can be
 shared freely between threads.
 
-A ``PolyMap`` is an explicit polynomial self-map of affine n-space, held
-as its components.  Composition follows (f o g)(a) = f(g(a)), i.e.
-``compose(f, g)`` substitutes g's components into f, all of f's
-components in one pass; ``commutes`` compares f o g with g o f.  A map
-carries no invertibility promise: invertible maps arrive as the
-generator words of ``autgroup``.
-
 ``substitute`` and ``PolyMap.compose`` share one routine: a memo local to
 the call holds each monomial image once, as a pair ``(den, terms)``, for
 all the polynomials it substitutes into.  Each result is one ``_sum``, the
@@ -314,79 +307,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self._dimension}, {str(self)!r})"
-
-
-class PolyMap:
-    """An explicit polynomial self-map of affine n-space.
-
-    Carries no invertibility promise; invertible maps arrive as words.
-    """
-
-    __slots__ = ("_components",)
-
-    def __init__(self, components: Sequence[Polynomial]):
-        components = tuple(components)
-        if not components:
-            raise DimensionMismatch("a map needs at least one component")
-        n = len(components)
-        for c in components:
-            if c.dimension != n:
-                raise DimensionMismatch(
-                    f"component dimension {c.dimension} != map dimension {n}"
-                )
-        self._components = components
-
-    @classmethod
-    def identity(cls, dimension: int) -> "PolyMap":
-        return cls(tuple(Polynomial.variable(i, dimension) for i in range(dimension)))
-
-    @property
-    def dimension(self) -> int:
-        return len(self._components)
-
-    @property
-    def components(self) -> tuple[Polynomial, ...]:
-        return self._components
-
-    def compose(self, other: "PolyMap") -> "PolyMap":
-        """self o other: apply other first."""
-        if self.dimension != other.dimension:
-            raise DimensionMismatch(
-                f"cannot compose maps of dimensions {self.dimension} and {other.dimension}"
-            )
-        return PolyMap(_substitute_all(self._components, other._components))
-
-    def is_identity(self) -> bool:
-        return self == PolyMap.identity(self.dimension)
-
-    def __eq__(self, other):
-        if isinstance(other, PolyMap):
-            return self._components == other._components
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._components)
-
-    def __str__(self):
-        from .grammar import format_map
-
-        return format_map(self._components)
-
-    def __repr__(self):
-        return f"PolyMap({str(self)!r})"
-
-
-def compose(f: PolyMap, g: PolyMap) -> PolyMap:
-    return f.compose(g)
-
-
-def commutes(f: PolyMap, g: PolyMap) -> bool:
-    """True iff f o g equals g o f exactly."""
-    if f.dimension != g.dimension:
-        raise DimensionMismatch(
-            f"cannot compare maps of dimensions {f.dimension} and {g.dimension}"
-        )
-    return f.compose(g) == g.compose(f)
 
 
 def _substitute_all(polys: Sequence[Polynomial], images: Sequence[Polynomial]) -> list:

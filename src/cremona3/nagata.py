@@ -30,9 +30,16 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from ._termops import EXPONENT_BITS, mul_terms
-from .derivation import Derivation, from_kernel_coordinates, nagata_derivation, nagata_invariant
+from .autgroup import PolyMap
+from .derivation import (
+    Derivation,
+    _Record,
+    from_kernel_coordinates,
+    nagata_derivation,
+    nagata_invariant,
+)
 from .errors import DimensionMismatch, DomainError, InvalidGenerator, NotMonomialInK
-from .exactpoly import PolyMap, Polynomial, _sum, variables
+from .exactpoly import Polynomial, _sum, variables
 
 
 class StandardObjects(NamedTuple):
@@ -52,40 +59,18 @@ def standard_objects() -> StandardObjects:
     return StandardObjects(D=D, p=p, h=h, h_prime=h_prime)
 
 
-class TorusElement:
-    """The diagonal map (beta^2/gamma * x, beta * y, gamma * z).
+class TorusElement(_Record):
+    """The diagonal map (beta^2/gamma * x, beta * y, gamma * z)."""
 
-    Immutable; equality, hash and repr read beta and gamma.
-    """
-
-    __slots__ = ("_beta", "_gamma")
+    __slots__ = _fields = ("beta", "gamma")
 
     def __init__(self, beta, gamma):
         beta = Fraction(beta)
         gamma = Fraction(gamma)
         if not beta or not gamma:
             raise InvalidGenerator("torus parameters must be nonzero")
-        self._beta = beta
-        self._gamma = gamma
-
-    @property
-    def beta(self) -> Fraction:
-        return self._beta
-
-    @property
-    def gamma(self) -> Fraction:
-        return self._gamma
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self._beta, self._gamma) == (other._beta, other._gamma)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self._beta, self._gamma))
-
-    def __repr__(self):
-        return f"TorusElement(beta={self._beta!r}, gamma={self._gamma!r})"
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "gamma", gamma)
 
     def weights(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.beta ** 2 / self.gamma, self.beta, self.gamma)

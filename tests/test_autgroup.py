@@ -165,13 +165,13 @@ def test_affine_runs_substitute_nothing(monkeypatch):
     # Counts, not time: a word of affine factors alone is one product of integer
     # forms, and each affine run between other factors enters the fold as one map.
     calls = []
-    real = exactpoly._substitute_all
+    real = autgroup._substitute_all
 
     def counting(polys, images):
         calls.append(len(polys))
         return real(polys, images)
 
-    monkeypatch.setattr(exactpoly, "_substitute_all", counting)
+    monkeypatch.setattr(autgroup, "_substitute_all", counting)
     rng = random.Random(79)
     words = [AutWord(n, [_fraction_affine(rng, n) for _ in range(5)]) for n in (1, 2, 3, 4)]
     maps = [(w.evaluate(), w.inverse().evaluate()) for w in words]
@@ -192,7 +192,7 @@ def test_runs_of_other_factors_substitute_one_generator_at_a_time(monkeypatch):
     # makes dense: two degree-13 kernel exponentials after a translation ran for
     # seconds when that product was substituted into them.
     images = []
-    real = exactpoly._substitute_all
+    real = autgroup._substitute_all
 
     def recording(polys, imgs):
         images.append(tuple(imgs))
@@ -204,7 +204,7 @@ def test_runs_of_other_factors_substitute_one_generator_at_a_time(monkeypatch):
         ScalarGenerator(3),
         TriangularGenerator((2 * X - 1, Y + Z ** 2 + 1, HALF * Z + 3)),
     ]
-    monkeypatch.setattr(exactpoly, "_substitute_all", recording)
+    monkeypatch.setattr(autgroup, "_substitute_all", recording)
     word = AutWord(3, factors)
     forward = word.evaluate()
     assert images == [g.to_map().components for g in factors[1:]]

@@ -1,14 +1,19 @@
-"""The package's import surface: what ``import cremona3`` binds and loads."""
+"""The package's import surface, and the immutable records it exports."""
 
 import ast
+import copy
 import importlib
-import subprocess
-import sys
+import pickle
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import cremona3
+from cremona3 import Decomposition, Derivation, TorusElement, variables
+
+X, Y, Z = variables(3)
+P = variables(2)[1]
 
 #: Every name ``cremona3`` exports, by the module that defines it.
 EXPORTS = {
@@ -17,7 +22,10 @@ EXPORTS = {
         "AutWord",
         "ExponentialGenerator",
         "ScalarGenerator",
+        "PolyMap",
         "TriangularGenerator",
+        "commutes",
+        "compose",
         "parse_poly_map",
     ),
     "centralizer": ("Decomposition", "decompose", "is_in_centralizer", "reconstruct"),
@@ -47,7 +55,7 @@ EXPORTS = {
         "ParseError",
         "UnknownVariable",
     ),
-    "exactpoly": ("MINUS_INFINITY", "PolyMap", "Polynomial", "commutes", "compose", "variables"),
+    "exactpoly": ("MINUS_INFINITY", "Polynomial", "variables"),
     "grammar": ("format_map", "format_polynomial", "format_rational", "parse_map", "parse_polynomial"),
     "nagata": (
         "StandardObjects",
@@ -65,36 +73,66 @@ EXPORTS = {
 
 
 def test_every_exported_name_is_the_object_its_module_binds():
-    listed = set(dir(cremona3))
     for module_name, names in EXPORTS.items():
         module = importlib.import_module(f"cremona3.{module_name}")
         for name in names:
             assert getattr(cremona3, name) is getattr(module, name), name
-            assert name in listed, name
-    assert cremona3.compose is cremona3.autgroup.compose is cremona3.exactpoly.compose
+            assert (name in dir(cremona3)) == (module_name != "verify"), name
     with pytest.raises(AttributeError, match=r"^module 'cremona3' has no attribute 'no_such_name'$"):
         cremona3.no_such_name
 
 
-def test_a_lazy_name_is_read_from_its_module_on_every_use(monkeypatch):
-    # Not cached: a wrapper put in place and taken out again (the bench's
-    # tracer) must not stay behind in the package.
-    real = cremona3.grammar.parse_polynomial
-    monkeypatch.setattr(cremona3.grammar, "parse_polynomial", len)
-    assert cremona3.parse_polynomial is len
-    monkeypatch.undo()
-    assert cremona3.parse_polynomial is real
+def test_a_star_import_binds_every_name_but_the_suite():
+    # verify_theorem_identities is bound on first use, so the star-import skips it.
+    namespace = {}
+    exec("from cremona3 import *", namespace)
+    for module_name, names in EXPORTS.items():
+        for name in names:
+            assert (name in namespace) == (module_name != "verify"), name
 
 
-def test_a_lazy_submodule_is_reached_from_a_bare_import():
-    # As when the package imported them at once: cremona3.grammar.MAX_NESTING
-    # needs no import of its own.
-    probe = "import cremona3; print(cremona3.grammar.MAX_NESTING, cremona3.autgroup.__name__)"
-    src = str(Path(cremona3.__file__).resolve().parent.parent)
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env={"PYTHONPATH": src}, capture_output=True, text=True
-    )
-    assert (done.returncode, done.stdout) == (0, "100 cremona3.autgroup\n")
+@pytest.mark.parametrize(
+    "record, same, other, text",
+    [
+        (
+            Derivation((X, Y, Z)),
+            Derivation([X, Y, Z]),
+            Derivation((Y, Z, X)),
+            "Derivation(images=(Polynomial(3, 'x'), Polynomial(3, 'y'), Polynomial(3, 'z')))",
+        ),
+        (
+            TorusElement(2, 3),
+            TorusElement(Fraction(2), 3),
+            TorusElement(3, 2),
+            "TorusElement(beta=Fraction(2, 1), gamma=Fraction(3, 1))",
+        ),
+        (
+            Decomposition(2, Z, P),
+            Decomposition(Fraction(2), Z, P),
+            Decomposition(2, Z, 2 * P),
+            "Decomposition(alpha=Fraction(2, 1), w=Polynomial(3, 'z'), q=Polynomial(2, 'x2'))",
+        ),
+    ],
+    ids=["Derivation", "TorusElement", "Decomposition"],
+)
+def test_a_record_is_an_immutable_value(record, same, other, text):
+    # Value semantics: equality and hash on the fields, the field repr,
+    # copies and pickles, positional patterns, and no assignment.
+    assert record == same and hash(record) == hash(same)
+    assert record != other and record != record._values()
+    assert repr(record) == text
+    match record:
+        case Derivation(first) | TorusElement(first) | Decomposition(first):
+            assert first == getattr(record, record._fields[0])
+        case _:
+            pytest.fail("no positional pattern matched")
+    assert copy.deepcopy(record) == record == pickle.loads(pickle.dumps(record))
+    field = record._fields[0]
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+        setattr(record, field, getattr(other, field))
+    with pytest.raises(AttributeError, match=f"^cannot delete field '{field}'$"):
+        delattr(record, field)
+    assert record == same
 
 
 def test_no_module_imports_dataclasses():
