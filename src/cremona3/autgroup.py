@@ -50,7 +50,7 @@ from . import grammar
 from ._termops import EXPONENT_BITS, normalize, scale_terms
 from .derivation import DEFAULT_BOUND, Derivation, Nilpotency
 from .errors import DimensionMismatch, InvalidGenerator
-from .exactpoly import Polynomial, _substitute_all
+from .exactpoly import Polynomial, _check_dimension, _substitute_all
 
 
 class PolyMap:
@@ -402,6 +402,7 @@ class ScalarGenerator:
         alpha = Fraction(alpha)
         if not alpha:
             raise InvalidGenerator("scalar generator needs a nonzero ratio")
+        _check_dimension(dimension)
         self.alpha = alpha
         self._dimension = dimension
 

@@ -8,7 +8,7 @@ and ``decompose``/``reconstruct`` realize that bijection on explicit
 maps.  The splitting is normalized so that a is the unique scalar with
 f_3 = a z; this makes decompose(reconstruct(.)) the identity on triples.
 
-No verdict here composes maps or substitutes.  Membership uses the
+Nothing here composes maps or substitutes.  Membership uses the
 derivation criterion f commutes with exp(D) iff D(f_i) = (D x_i) o f for
 every i, which for D = (y, z, 0) reads D(f1) = f2, D(f2) = f3, D(f3) = 0
 (see ``is_in_centralizer``).  Both directions of the splitting work in
@@ -16,8 +16,10 @@ kernel coordinates (Z, P), where q and w have a few terms: ``decompose``
 reads them off the y = 0 slice of two kernel elements (exact, by the
 lemma in ``kernel_coordinates``) in one pass over the integer pair of
 f2 and one over f1's, forming neither element, and then w is one product
-and one sum in (Z, P); ``reconstruct`` expands q once and multiplies the
-three factors out in closed form.  Past membership, z divides f2 - a y
+and one sum in (Z, P); past membership it builds the triple without
+re-checking it.  ``reconstruct`` writes q = c(z, p) out by the binomial
+theorem (``derivation.from_kernel_coordinates``) and multiplies the three
+factors out in closed form.  Past membership, z divides f2 - a y
 with no check, since ker D and im D meet in z C[z, p] (the proof is in
 ``decompose``).
 
@@ -32,9 +34,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._termops import EXPONENT_BITS, mul_terms
+from ._termops import EXPONENT_BITS, mul_terms, normalize, scale_terms
 from .autgroup import PolyMap
-from .derivation import _Z_SHIFT, _read_off, _Record
+from .derivation import _Z_SHIFT, _kernel_pair, _read_off, _Record
 from .errors import (
     DimensionMismatch,
     MalformedCentralizerElement,
@@ -42,7 +44,7 @@ from .errors import (
 )
 from .exactpoly import Polynomial, _sum
 from .grammar import format_polynomial
-from .nagata import _scaled_shear, standard_objects
+from .nagata import _Z, _scaled_shear, standard_objects
 
 
 class Decomposition(_Record):
@@ -131,15 +133,16 @@ def decompose(f: PolyMap) -> Decomposition:
         raise NotInCentralizer("the map does not commute with the degree-one shear")
     f1, f2, f3 = f.components
 
-    if f3.exponents() != ((0, 0, 1),):
+    num = f3._terms.get(_Z)
+    if num is None or len(f3._terms) != 1:
         raise MalformedCentralizerElement(
             f"third component must be a nonzero multiple of z, got {format_polynomial(f3)}"
         )
-    scale = f3.coefficient((0, 0, 1))
 
-    # 1/scale = b/a with a > 0 scales both reads inside their sums.
-    a, b = abs(scale.numerator), scale.denominator if scale.numerator > 0 else -scale.denominator
-    q_den, q_terms = _sum([(b, _read_off(f2._den, f2._terms, 1)[0])], a)
+    # 1/alpha = b/a with a > 0 scales both reads.
+    a, b = abs(num), f3._den if num > 0 else -f3._den
+    r_den, r_terms = _read_off(f2._den, f2._terms, 1)[0]
+    q_den, q_terms = normalize(r_den * a, scale_terms(r_terms, b))
     qqz = mul_terms(q_terms, {key + 1: c for key, c in q_terms.items()})  # Z is the packed key 1
     residue = _read_off(f1._den, f1._terms)[0]
     w_den, w_terms = _sum([(b, residue), (-a, (2 * q_den * q_den, qqz))], a)
@@ -149,7 +152,10 @@ def decompose(f: PolyMap) -> Decomposition:
         )
     # w(Z) -> w(z): Z^k is the packed key k, z^k is k << _Z_SHIFT.
     w = Polynomial._make(3, w_den, {k << _Z_SHIFT: c for k, c in w_terms.items()})
-    return Decomposition(alpha=scale, w=w, q=Polynomial._make(2, q_den, q_terms))
+    # Decomposition's checks hold by construction: alpha != 0 is f3's one
+    # coefficient over its denominator, w has only z keys, and q is in (Z, P).
+    q = Polynomial._make(2, q_den, q_terms)
+    return Decomposition._make(Fraction(num, f3._den), w, q)
 
 
 def reconstruct(d: Decomposition) -> PolyMap:
@@ -160,4 +166,4 @@ def reconstruct(d: Decomposition) -> PolyMap:
     assembler behind ``kernel_shear`` with the scalar and shift added;
     no map is composed.
     """
-    return _scaled_shear(d.alpha, d.q, d.w)
+    return _scaled_shear(d.alpha, _kernel_pair(d.q), d.w)

@@ -21,7 +21,10 @@ derivation with images (y, z, 0): its kernel is the polynomial ring in z
 and the invariant quadric p = xz - y^2/2, and the function rewrites a
 kernel element in those two coordinates, read off its y-free terms
 after one ``apply`` (raising NotInKernelRing when the input does not
-lie in the kernel ring).
+lie in the kernel ring).  ``from_kernel_coordinates`` is the inverse,
+c(Z, P) -> c(z, p), in closed form: by the binomial theorem the terms of
+all the Z^a P^b are distinct monomials x^(b-k) y^(2k) z^(a+b-k), so it
+is one pass over c's terms with no product, sum or substitution.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from math import lcm
 from operator import attrgetter
 from typing import NamedTuple, Optional
 
-from ._termops import EXPONENT_BITS, FIELD_MASK, derive_terms, mul_terms, normalize
+from ._termops import EXPONENT_BITS, FIELD_MASK, MAX_EXPONENT, derive_terms, mul_terms, normalize
 from .errors import BoundExceeded, DimensionMismatch, DomainError, NotInKernelRing
 from .exactpoly import MINUS_INFINITY, Polynomial, _sum
 
@@ -76,7 +79,8 @@ class _Record:
     read the fields named in ``_fields``.
 
     The base of ``Derivation``, ``nagata.TorusElement`` and
-    ``centralizer.Decomposition``, which check their input.
+    ``centralizer.Decomposition``, which check their input; ``_make`` skips
+    those checks for a caller that has established them.
     """
 
     __slots__ = ()
@@ -87,6 +91,14 @@ class _Record:
         cls.__match_args__ = cls._fields
         # The fields in one C call, for == and hash (the value itself when there is one field).
         cls._key = staticmethod(attrgetter(*cls._fields))
+
+    @classmethod
+    def _make(cls, *values):
+        # Trusted fast path: ``values`` must already meet __init__'s checks.
+        obj = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(obj, name, value)
+        return obj
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -364,7 +376,40 @@ def _read_off(den: int, terms: dict, lower: int = 0) -> tuple[tuple[int, dict], 
 
 
 def from_kernel_coordinates(c: Polynomial) -> Polynomial:
-    """Evaluate c(Z, P) at Z = z, P = xz - y^2/2."""
+    """Evaluate c(Z, P) at Z = z, P = xz - y^2/2, in closed form (``_kernel_pair``)."""
+    return Polynomial._make(3, *_kernel_pair(c))
+
+
+#: The step from the key of x^(b-k) y^(2k) z^(a+b-k) to that of k + 1.
+_BINOMIAL_STEP = (2 << EXPONENT_BITS) - 1 - (1 << _Z_SHIFT)
+
+
+def _kernel_pair(c: Polynomial) -> tuple[int, dict]:
+    """The canonical pair of c(z, p), by the binomial theorem and no product.
+
+    p^b = sum_k C(b, k) (-1/2)^k x^(b-k) y^(2k) z^b, so Z^a P^b gives the
+    keys x^(b-k) y^(2k) z^(a+b-k), k = 0..b, each with the integer
+    c_ab C(b, k) (-1)^k 2^(B-k) over den 2^B, B the largest b.  No key
+    repeats, within a term or across terms: k = e_y/2, b = e_x + k and
+    a = e_z - e_x, so the dict needs no accumulator, and one normalize
+    makes the pair canonical.  The inverse of ``_read_off``.
+
+    DimensionMismatch unless c is in (Z, P); DomainError, before any term
+    is built, if some 2b or a + b exceeds MAX_EXPONENT.
+    """
     if c.dimension != 2:
         raise DimensionMismatch(f"kernel polynomial must have dimension 2, got {c.dimension}")
-    return c.substitute([Polynomial.variable(2, 3), nagata_invariant()])
+    fields = [(key & FIELD_MASK, key >> EXPONENT_BITS, v) for key, v in c._terms.items()]
+    top = max((b for _, b, _ in fields), default=0)
+    if any(2 * b > MAX_EXPONENT or a + b > MAX_EXPONENT for a, b, _ in fields):
+        raise DomainError(f"a product has an exponent above the limit {MAX_EXPONENT}")
+    out = {}
+    for a, b, v in fields:
+        key, coeff = b | ((a + b) << _Z_SHIFT), v << top
+        out[key] = coeff
+        for k in range(b):
+            # C(b, k+1) (-1)^(k+1) 2^(B-k-1) from C(b, k) (-1)^k 2^(B-k); the division is exact.
+            key += _BINOMIAL_STEP
+            coeff = -coeff * (b - k) // (2 * (k + 1))
+            out[key] = coeff
+    return normalize(c._den << top, out)

@@ -11,7 +11,9 @@ membership (``is_in_K``) and character-degree extraction
 exactly when every monomial Z^a P^b of c has b >= 1 and a = 2(b-1).
 
 Because q lies in ker D, exp(qD) is the closed form
-``kernel_shear``: (x + q y + q^2 z/2, y + q z, z), with no series to sum.
+``kernel_shear``: (x + q y + q^2 z/2, y + q z, z), with no series to sum,
+for q = c(z, p) written out term by term by the binomial theorem
+(``derivation.from_kernel_coordinates``), with no substitution.
 It is ``exp_kernel``'s fold written out for this D, and stays beside it
 because ``centralizer.reconstruct`` adds alpha and w in the same sums:
 built as the fold plus alpha and w, ``reconstruct`` was slower on seeded
@@ -20,7 +22,8 @@ triples (ROADMAP item 11 has the numbers).
 The torus (b^2/g * x, b * y, g * z) acts on these by conjugation and
 rescales exp(s * p(pz^2)^k D) by the character (b*g)^(2k+1).  The
 action maps the exponent c(Z, P) to (g/b) * c(g Z, b^2 P)
-(``torus_conjugate``), so nothing in this module composes maps.
+(``torus_conjugate``), which scales each term of c by a rational, so
+nothing in this module composes maps or substitutes.
 """
 
 from __future__ import annotations
@@ -29,17 +32,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from ._termops import EXPONENT_BITS, mul_terms
+from ._termops import EXPONENT_BITS, FIELD_MASK, mul_terms, normalize
 from .autgroup import PolyMap
-from .derivation import (
-    Derivation,
-    _Record,
-    from_kernel_coordinates,
-    nagata_derivation,
-    nagata_invariant,
-)
+from .derivation import Derivation, _kernel_pair, _Record, nagata_derivation, nagata_invariant
 from .errors import DimensionMismatch, DomainError, InvalidGenerator, NotMonomialInK
-from .exactpoly import Polynomial, _sum, variables
+from .exactpoly import Polynomial, _sum
 
 
 class StandardObjects(NamedTuple):
@@ -95,18 +92,18 @@ def kernel_shear(c: Polynomial) -> PolyMap:
 
     exactly; this is ``PolyMap(D.exp_kernel(q))`` without D's series.
     It is the case alpha = 1, w = 0 of the one assembler behind
-    ``centralizer.reconstruct``: q is expanded once, q^2 z is one product,
-    and each of the first two components is one ``_sum``.
+    ``centralizer.reconstruct``: q is written out once in closed form,
+    q^2 z is one product, and each of the first two components is one ``_sum``.
     """
-    return _scaled_shear(1, c, Polynomial.zero(3))
+    return _scaled_shear(1, _kernel_pair(c), Polynomial.zero(3))
 
 
-def _scaled_shear(alpha, c: Polynomial, w: Polynomial) -> PolyMap:
-    # alpha * (x + q y + q^2 z/2 + w, y + q z, z) for q = c(z, p) and w in C[z]:
-    # q y and q z are monomial products, q^2 z is (q z) * q, and each of the
-    # first two components is one sum over alpha's denominator.
-    q = from_kernel_coordinates(c)
-    d, terms = q._den, q._terms
+def _scaled_shear(alpha, q: tuple[int, dict], w: Polynomial) -> PolyMap:
+    # alpha * (x + q y + q^2 z/2 + w, y + q z, z) for the canonical pair q of
+    # c(z, p) and w in C[z]: q y and q z are monomial products, q^2 z is
+    # (q z) * q, and each of the first two components is one sum over alpha's
+    # denominator.
+    d, terms = q
     qy, qz = mul_terms({_Y: 1}, terms), mul_terms({_Z: 1}, terms)
     qqz = mul_terms(qz, terms)
     a, b = alpha.numerator, alpha.denominator
@@ -153,7 +150,8 @@ def torus_conjugate(t: TorusElement, c: Polynomial) -> Polynomial:
 
         exp((g/b) * c(g Z, b^2 P) * D),
 
-    one substitution in kernel coordinates; no map is composed.  Proof:
+    so each term Z^i P^j of c is scaled by g^(i+1) b^(2j-1): nothing is
+    substituted and no map is composed.  Proof:
     component i of t^-1 o F o t is (F_i o t) / w_i, with w = t.weights().
     Since z o t = g z and p o t = (b^2/g) x * g z - b^2 y^2 / 2 = b^2 p,
     q = c(z, p) becomes q o t = c(g z, b^2 p) = (b/g) q'.  Read component
@@ -166,8 +164,20 @@ def torus_conjugate(t: TorusElement, c: Polynomial) -> Polynomial:
     character_lambda(k, t) = (b*g)^(2k+1).
     """
     _check_exponent(c)
-    Z, P = variables(2)
-    return c.substitute((Z * t.gamma, P * t.beta ** 2)) * (t.gamma / t.beta)
+    (gn, gd), (bn, bd) = t.gamma.as_integer_ratio(), t.beta.as_integer_ratio()
+    if bn < 0:  # b's sign moves to bd: den holds bd to an even power, each term to an odd one
+        bn, bd = -bn, -bd
+    fields = [(key & FIELD_MASK, key >> EXPONENT_BITS, key, v) for key, v in c._terms.items()]
+    top_i = max((i for i, _, _, _ in fields), default=0)
+    top_j = max((j for _, j, _, _ in fields), default=0)
+    # Over den gd^(top_i+1) bd^(2 top_j) bn, g^(i+1) b^(2j-1) is the integer
+    # gn^(i+1) gd^(top_i-i) bn^(2j) bd^(2(top_j-j)+1).
+    terms = {
+        key: v * gn ** (i + 1) * gd ** (top_i - i) * bn ** (2 * j) * bd ** (2 * (top_j - j) + 1)
+        for i, j, key, v in fields
+    }
+    den = c._den * gd ** (top_i + 1) * bd ** (2 * top_j) * bn
+    return Polynomial._make(2, *normalize(den, terms))
 
 
 def lambda_degree(c: Polynomial) -> int:

@@ -15,6 +15,7 @@ from cremona3 import (
     NotInKernelRing,
     PolyMap,
     Polynomial,
+    TorusElement,
     commutes,
     compose,
     decompose,
@@ -24,6 +25,7 @@ from cremona3 import (
     kernel_shear,
     reconstruct,
     standard_objects,
+    torus_conjugate,
     variables,
     verify_theorem_identities,
 )
@@ -476,13 +478,17 @@ def test_decompose_works_in_kernel_coordinates(monkeypatch):
 
 
 def test_reconstruct_expands_and_squares_q_once(monkeypatch):
-    # One expansion of q, the monomial products q y and q z, and one
-    # product of two multi-term maps, (q z) * q.
+    # q = c(z, p) is written out in closed form, with no substitution and no
+    # product; then come the monomial products q y and q z, and one product of
+    # two multi-term maps, (q z) * q.  Torus conjugation substitutes nothing either.
+    import cremona3.derivation
     import cremona3.nagata
-    from cremona3.derivation import from_kernel_coordinates
 
     rng = random.Random(107)
     triples = _wide_triples(rng, 6)
+    sizes = [len(from_kernel_coordinates(d.q).exponents()) for d in triples]
+    assert max(sizes) > 1
+    t = TorusElement(Fraction(-2, 3), Fraction(5))
     counts, shapes = {}, []
     mul_terms = cremona3.nagata.mul_terms
 
@@ -490,18 +496,20 @@ def test_reconstruct_expands_and_squares_q_once(monkeypatch):
         shapes.append((len(a), len(b)))
         return mul_terms(a, b)
 
-    _count_calls(monkeypatch, cremona3.nagata, "from_kernel_coordinates", counts)
-    monkeypatch.setattr(cremona3.nagata, "mul_terms", shaped)
+    for module in (cremona3.derivation, cremona3.nagata):
+        monkeypatch.setattr(module, "mul_terms", shaped)
+    _count_substitutions(monkeypatch, counts)
     _count_products(monkeypatch, counts)
-    sizes = [len(from_kernel_coordinates(d.q).exponents()) for d in triples]
-    assert max(sizes) > 1
-    for d, t in zip(triples, sizes):
+    for d, size in zip(triples, sizes):
         for build in (lambda: reconstruct(d), lambda: kernel_shear(d.q)):
-            counts.clear()
             shapes.clear()
             build()
-            assert counts == {"from_kernel_coordinates": 1}
-            assert shapes == [(1, t), (1, t), (t, t)]
+            assert shapes == [(1, size), (1, size), (size, size)]
+        shapes.clear()
+        from_kernel_coordinates(d.q)
+        torus_conjugate(t, d.q)
+        assert shapes == []
+    assert counts == {}
 
 
 @pytest.mark.parametrize("kind", ["cy", "cz2"])

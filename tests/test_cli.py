@@ -457,9 +457,10 @@ def test_invert_exp_word_past_the_pair_budget_exits_3(tmp_path, capsys):
     assert run(capsys, "exp", "--q", "(z + x*z - 1/2*y^2)^43") == (3, "", message)
 
 
-def test_invert_triangular_word_in_dimension_0_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize("line", ["triangular (x)", "scalar 2"], ids=["triangular", "scalar"])
+def test_invert_triangular_word_in_dimension_0_exits_3(tmp_path, capsys, line):
     word = tmp_path / "word.txt"
-    word.write_text("triangular (x)\n")
+    word.write_text(line + "\n")
     code, out, err = run(capsys, "invert", "--word", str(word), "--dim", "0")
     assert (code, out) == (3, "")
     assert err == "error: dimension must be a positive integer, got 0 (line 1, column 1)\n"

@@ -23,7 +23,7 @@ from cremona3 import (
     variables,
 )
 from cremona3 import derivation, exactpoly
-from cremona3._termops import derive_terms, mul_terms
+from cremona3._termops import MAX_EXPONENT, derive_terms, mul_terms
 from cremona3.verify import random_kernel_polynomial, random_nonzero_rational, random_polynomial
 from oracle import coefficient_of_power, divided_by_power
 from test_exactpoly import polynomials
@@ -524,6 +524,41 @@ def test_kernel_round_trip_random():
     for _ in range(30):
         c = random_kernel_polynomial(rng, max_degree=4)
         assert kernel_coordinates(from_kernel_coordinates(c)) == c
+
+
+def _seeded_kernel_exponents(rng, count):
+    # c(Z, P) up to P-degree 12 with rational coefficients, plus zero and constants.
+    out = [Polynomial.zero(2), Polynomial.one(2), Polynomial.constant(2, Fraction(-7, 6))]
+    for _ in range(count):
+        exps = [(rng.randint(0, 6), rng.randint(0, 12)) for _ in range(rng.randint(1, 6))]
+        terms = {e: Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for e in exps}
+        out.append(Polynomial(2, terms))
+    return out
+
+
+def test_from_kernel_coordinates_matches_the_substitution():
+    # The binomial closed form against c(z, p) by the substitution engine.
+    rng = random.Random(131)
+    images = (Z, P)
+    for c in _seeded_kernel_exponents(rng, 300):
+        assert from_kernel_coordinates(c) == c.substitute(images)
+
+
+def test_from_kernel_coordinates_inverts_the_read_off():
+    rng = random.Random(137)
+    for c in _seeded_kernel_exponents(rng, 300):
+        assert kernel_coordinates(from_kernel_coordinates(c)) == c
+
+
+@pytest.mark.parametrize("exps", [(0, 2**19), (MAX_EXPONENT, 1)])
+def test_from_kernel_coordinates_overflow_raises_before_building(monkeypatch, exps):
+    # P^(2^19) holds y^(2^20), and Z^MAX_EXPONENT P holds z^(MAX_EXPONENT + 1).
+    def unreachable(*args):
+        raise AssertionError("a term map was built")
+
+    monkeypatch.setattr(derivation, "normalize", unreachable)
+    with pytest.raises(DomainError, match=f"above the limit {MAX_EXPONENT}"):
+        from_kernel_coordinates(Polynomial(2, {exps: 1}))
 
 
 def test_kernel_coordinates_soundness():

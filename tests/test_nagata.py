@@ -174,7 +174,7 @@ def test_torus_conjugate_composes_no_map(monkeypatch):
     for owner, name in (
         (PolyMap, "compose"),
         (cremona3.autgroup, "compose"),
-        (cremona3.nagata, "from_kernel_coordinates"),
+        (cremona3.nagata, "_kernel_pair"),
     ):
         original = getattr(owner, name)
 
@@ -186,6 +186,21 @@ def test_torus_conjugate_composes_no_map(monkeypatch):
     for t, c in samples:
         torus_conjugate(t, c)
     assert counts == []
+
+
+def test_torus_conjugate_matches_the_substitution():
+    # The per-term scaling against (g/b) * c(g Z, b^2 P) by the substitution engine.
+    rng = random.Random(1213)
+    Zk, Pk = variables(2)
+    exponents = [Polynomial.zero(2), Polynomial.constant(2, Fraction(-5, 3))]
+    exponents += [random_kernel_polynomial(rng, 6) for _ in range(60)]
+    tori = [random_torus(rng) for _ in range(10)]
+    tori += [TorusElement(Fraction(-2, 3), Fraction(5, 7)), TorusElement(-1, -4)]
+    assert any(t.beta < 0 for t in tori) and any(t.gamma < 0 for t in tori)
+    for c in exponents:
+        for t in tori:
+            expected = c.substitute((Zk * t.gamma, Pk * t.beta**2)) * (t.gamma / t.beta)
+            assert torus_conjugate(t, c) == expected
 
 
 def test_torus_conjugate_rejects_exponents_outside_kernel_coordinates():
