@@ -387,7 +387,7 @@ _BINOMIAL_STEP = (2 << EXPONENT_BITS) - 1 - (1 << _Z_SHIFT)
 def _kernel_pair(c: Polynomial) -> tuple[int, dict]:
     """The canonical pair of c(z, p), by the binomial theorem and no product.
 
-    p^b = sum_k C(b, k) (-1/2)^k x^(b-k) y^(2k) z^b, so Z^a P^b gives the
+    p^b = sum_k C(b, k) (-1/2)^k x^(b-k) y^(2k) z^(b-k), so Z^a P^b gives the
     keys x^(b-k) y^(2k) z^(a+b-k), k = 0..b, each with the integer
     c_ab C(b, k) (-1)^k 2^(B-k) over den 2^B, B the largest b.  No key
     repeats, within a term or across terms: k = e_y/2, b = e_x + k and

@@ -519,13 +519,6 @@ def test_kernel_coordinates_matches_the_division_algorithm():
         assert _outcome(kernel_coordinates, f) == expected
 
 
-def test_kernel_round_trip_random():
-    rng = random.Random(3)
-    for _ in range(30):
-        c = random_kernel_polynomial(rng, max_degree=4)
-        assert kernel_coordinates(from_kernel_coordinates(c)) == c
-
-
 def _seeded_kernel_exponents(rng, count):
     # c(Z, P) up to P-degree 12 with rational coefficients, plus zero and constants.
     out = [Polynomial.zero(2), Polynomial.one(2), Polynomial.constant(2, Fraction(-7, 6))]
@@ -536,18 +529,20 @@ def _seeded_kernel_exponents(rng, count):
     return out
 
 
+def test_kernel_round_trip_random():
+    rng = random.Random(3)
+    exponents = [random_kernel_polynomial(rng, max_degree=4) for _ in range(30)]
+    exponents += _seeded_kernel_exponents(random.Random(137), 300)
+    for c in exponents:
+        assert kernel_coordinates(from_kernel_coordinates(c)) == c
+
+
 def test_from_kernel_coordinates_matches_the_substitution():
     # The binomial closed form against c(z, p) by the substitution engine.
     rng = random.Random(131)
     images = (Z, P)
     for c in _seeded_kernel_exponents(rng, 300):
         assert from_kernel_coordinates(c) == c.substitute(images)
-
-
-def test_from_kernel_coordinates_inverts_the_read_off():
-    rng = random.Random(137)
-    for c in _seeded_kernel_exponents(rng, 300):
-        assert kernel_coordinates(from_kernel_coordinates(c)) == c
 
 
 @pytest.mark.parametrize("exps", [(0, 2**19), (MAX_EXPONENT, 1)])
