@@ -711,6 +711,18 @@ def test_affine_inverses_need_no_further_elimination(monkeypatch):
         assert compose(inv.to_map(), inv.inverse().to_map()).is_identity()
 
 
+def test_dense_affine_generator_in_dimension_40():
+    # Validation is one Bareiss elimination, cubic in the dimension: accepted,
+    # since the input itself has n^2 + n rationals.  n = 40 stays well under a second.
+    rng = random.Random(40)
+    n = 40
+    g = AffineGenerator(
+        [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)], [rng.randint(-9, 9) for _ in range(n)]
+    )
+    assert AutWord(n, [g, g.inverse()]).evaluate().is_identity()
+    assert AutWord(n, [g.inverse(), g]).evaluate().is_identity()
+
+
 def test_affine_to_map_matches_the_matrix():
     g = AffineGenerator(((0, 2, 0), (Fraction(1, 3), 0, -1), (0, 0, 1)), (1, 0, Fraction(-1, 2)))
     assert g.to_map() == PolyMap((2 * Y + 1, Fraction(1, 3) * X - Z, Z - HALF))

@@ -24,7 +24,7 @@ from cremona3 import (
     parse_polynomial,
     variables,
 )
-from cremona3 import exactpoly, grammar
+from cremona3 import KERNEL_VARIABLE_NAMES, exactpoly, grammar
 from cremona3._termops import MAX_EXPONENT
 from cremona3.grammar import MAX_NESTING, MAX_POWER_TERMS, MAX_PRODUCT_PAIRS
 from cremona3.verify import random_polynomial
@@ -82,6 +82,54 @@ def test_format_rational():
 
 def test_format_map():
     assert format_map((X + 1, Y, Z)) == "(1 + x, y, z)"
+
+
+def _reference_order_key(exps):
+    return (sum(exps),) + tuple(-e for e in exps)
+
+
+def _reference_format(p, names=None):
+    """The formatter as it read on exponent tuples, kept as the oracle of the packed one."""
+    if names is None:
+        names = exactpoly.default_variable_names(p.dimension)
+    if p.is_zero():
+        return "0"
+    den, numerators = p.integer_terms()
+    pieces = []
+    for exps in sorted(numerators, key=_reference_order_key):
+        coeff = numerators[exps]
+        sign = "-" if coeff < 0 else "+"
+        factors = []
+        magnitude = -coeff if coeff < 0 else coeff
+        monomial = [(names[i], e) for i, e in enumerate(exps) if e]
+        if magnitude != den or not monomial:
+            factors.append(str(Fraction(magnitude, den)))
+        for name, e in monomial:
+            factors.append(name if e == 1 else f"{name}^{e}")
+        pieces.append((sign, "*".join(factors)))
+    first_sign, first_body = pieces[0]
+    out = first_body if first_sign == "+" else f"-{first_body}"
+    for sign, body in pieces[1:]:
+        out += f" {sign} {body}"
+    return out
+
+
+def _outcome(format, p, names):
+    try:
+        return format(p, names)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: polynomials(dimension=n, max_degree=5, max_terms=8)))
+def test_format_matches_the_reference_formatter(p):
+    assert format_polynomial(p) == _reference_format(p)
+    if p.dimension == 2:
+        assert format_polynomial(p, KERNEL_VARIABLE_NAMES) == _reference_format(p, KERNEL_VARIABLE_NAMES)
+    # A names tuple shorter than the dimension fails only on a term that needs a missing name.
+    for names in (("a",), ["a", "b"], ()):
+        assert _outcome(format_polynomial, p, names) == _outcome(_reference_format, p, names)
 
 
 # -- parsing ----------------------------------------------------------------
@@ -203,7 +251,7 @@ def test_only_errors_writes_a_position_into_a_message():
     assert writers == {"errors"}
 
 
-@pytest.mark.parametrize("text", ["²", "1²", "x^²"])
+@pytest.mark.parametrize("text", ["²", "1²", "x^²", "²x"])
 def test_superscript_digits_are_unexpected_characters(text):
     with pytest.raises(ParseError, match="unexpected character '²'"):
         parse_polynomial(text)
@@ -211,6 +259,68 @@ def test_superscript_digits_are_unexpected_characters(text):
 
 def test_decimal_digits_of_other_scripts_are_integers():
     assert parse_polynomial("٣*x") == 3 * X
+
+
+@pytest.mark.parametrize(
+    "parse, text, error, message",
+    [
+        (parse_map, "(x,\n y,\n w)", UnknownVariable, "unknown variable 'w' (line 3, column 2)"),
+        (
+            parse_map,
+            "(x,\n y +,\n z)",
+            ParseError,
+            "expected a rational, a variable or '(', found ',' (line 2, column 5)",
+        ),
+        (parse_map, "(x, y, z)\n\n  extra", ParseError, "unexpected 'extra' after map literal (line 3, column 3)"),
+        (parse_map, "(x,\n y,\n z", ParseError, "expected ')', found 'end of input' (line 3, column 3)"),
+        (parse_map, "(x,\r\n\ty,\u2028w)", UnknownVariable, "unknown variable 'w' (line 2, column 5)"),
+        # The end of input stands after the trailing whitespace.
+        (
+            parse_polynomial,
+            "x +   ",
+            ParseError,
+            "expected a rational, a variable or '(', found 'end of input' (line 1, column 7)",
+        ),
+        (
+            parse_polynomial,
+            "x +\n\n  ",
+            ParseError,
+            "expected a rational, a variable or '(', found 'end of input' (line 3, column 3)",
+        ),
+        (
+            parse_polynomial,
+            "x + \r\n",
+            ParseError,
+            "expected a rational, a variable or '(', found 'end of input' (line 2, column 1)",
+        ),
+        # Only "\n" starts a line: "\r", a tab, U+00A0 and U+2028 are one column each.
+        (parse_polynomial, "x\r\n+ w", UnknownVariable, "unknown variable 'w' (line 2, column 3)"),
+        (parse_polynomial, "\tw", UnknownVariable, "unknown variable 'w' (line 1, column 2)"),
+        (parse_polynomial, "\u00a0w", UnknownVariable, "unknown variable 'w' (line 1, column 2)"),
+        (parse_polynomial, "x\u2028w", ParseError, "unexpected 'w' after expression (line 1, column 3)"),
+        (parse_polynomial, "x\u2028\u2028+ w", UnknownVariable, "unknown variable 'w' (line 1, column 6)"),
+        # A name starts with a letter or "_" and goes on with letters, digits and "_".
+        (parse_polynomial, "x_1", UnknownVariable, "unknown variable 'x_1' (line 1, column 1)"),
+        (parse_polynomial, "_x", UnknownVariable, "unknown variable '_x' (line 1, column 1)"),
+        (parse_polynomial, "α + x", UnknownVariable, "unknown variable 'α' (line 1, column 1)"),
+        (parse_polynomial, "x + βγ", UnknownVariable, "unknown variable 'βγ' (line 1, column 5)"),
+        (parse_polynomial, "x²", UnknownVariable, "unknown variable 'x²' (line 1, column 1)"),
+        (parse_polynomial, "y\n + x٣", UnknownVariable, "unknown variable 'x٣' (line 2, column 4)"),
+        (parse_polynomial, "x½", UnknownVariable, "unknown variable 'x½' (line 1, column 1)"),
+        (parse_polynomial, "½", ParseError, "unexpected character '½' (line 1, column 1)"),
+        (parse_polynomial, "x + ½", ParseError, "unexpected character '½' (line 1, column 5)"),
+    ],
+)
+def test_scanner_errors_name_their_line_and_column(parse, text, error, message):
+    with pytest.raises(error) as info:
+        parse(text)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text", ["x\r\n+\ty", "x\t\u00a0+\u2028y", "\u00a0x +\ny\r\n", " \n x+y \n "])
+def test_scanner_whitespace_separates_tokens(text):
+    assert parse_polynomial(text) == X + Y
 
 
 def test_dimension_is_checked_before_variable_names():

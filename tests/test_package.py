@@ -149,3 +149,59 @@ def test_no_module_imports_dataclasses():
             if "dataclasses" in modules:
                 importers.add(path.stem)
     assert importers == set()
+
+
+#: Every module that a module of the package imports when it is loaded: a new
+#: one is paid for by every cold start, and this set fails before the benchmark does.
+EAGER_IMPORTS = {
+    "__future__",
+    "argparse",
+    "enum",
+    "fractions",
+    "functools",
+    "itertools",
+    "math",
+    "operator",
+    "random",
+    "re",
+    "sys",
+    "types",
+    "typing",
+    # cremona3.verify is imported only by the calls that run the suite.
+    *(f"cremona3.{name}" for name in ("_termops", "autgroup", "centralizer", "cli", "derivation")),
+    *(f"cremona3.{name}" for name in ("errors", "exactpoly", "grammar", "nagata")),
+}
+
+
+def _eager_imports(tree) -> set:
+    """The modules a module imports at load time: every import outside a function body."""
+    found = set()
+    nodes = list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            package = "cremona3" if node.level else ""
+            if node.module is None:
+                found.update(f"{package}.{alias.name}" for alias in node.names)
+            else:
+                found.add(f"{package}.{node.module}" if package else node.module)
+        nodes.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_modules_import_only_the_allowed_modules_at_load_time():
+    imported = {}
+    for path in Path(cremona3.__file__).parent.glob("*.py"):
+        for module in _eager_imports(ast.parse(path.read_text())) - EAGER_IMPORTS:
+            imported.setdefault(module, []).append(path.stem)
+    assert imported == {}
+    # The walk sees through class bodies and if/try blocks, and skips function bodies.
+    tree = ast.parse(
+        "import a\nclass C:\n    from . import b\ntry:\n    from c.d import e\nexcept ImportError:\n"
+        "    pass\ndef f():\n    import g\n"
+    )
+    assert _eager_imports(tree) == {"a", "cremona3.b", "c.d"}
