@@ -14,7 +14,14 @@ formatting the same value twice is byte-identical.  Terms print in
 ascending total degree; within one degree the lexicographically larger
 exponent vector (first variable weighs most) prints first, which matches
 how the exponential maps are usually written: linear part first, higher
-corrections after.
+corrections after.  The formatter reads each packed monomial's fields
+once, for its sort key and its factors.
+
+The scanner is one pattern, ``_TOKEN``.  It yields three flat lists,
+kinds, texts and start offsets, and the parser walks them by index.  A
+``(line, column)`` is computed from an offset only where an error is
+raised: only ``"\\n"`` starts a line, and every other character is one
+column.
 
 The parser computes on integer pairs ``(den, term map)`` with the
 ``_termops`` kernels: products and powers are ``mul_terms`` and
@@ -34,16 +41,21 @@ it raises the ``DomainError``.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from math import comb, gcd
 from typing import Optional, Sequence
 
-from ._termops import EXPONENT_BITS, _check_power, mul_terms, normalize, pow_terms, scale_terms
+from ._termops import EXPONENT_BITS, FIELD_MASK, _check_power, mul_terms, normalize, pow_terms, scale_terms
 from .errors import ArityMismatch, DomainError, ParseError, UnknownVariable
 from .exactpoly import Polynomial, _check_dimension, _sum, default_variable_names
 
 _OPERATORS = set("+-*^/(),")
+
+#: One token after optional whitespace: a decimal integer, a word, or one other character.
+#: ``\d``, ``\w`` and ``\s`` are ``str.isdecimal``, ``isalnum`` (or "_") and ``isspace``.
+_TOKEN = re.compile(r"\s*(?:(\d+)|(\w+)|(\S))")
 
 #: Term budget of a parsed power: ``base^k`` of a ``t``-term base has at most
 #: C(t + k - 1, k) terms, and a power whose bound exceeds it raises DomainError.
@@ -54,60 +66,35 @@ MAX_POWER_TERMS = 1000
 MAX_PRODUCT_PAIRS = 100_000
 
 #: Nesting budget: parentheses and unary minus nested deeper raise
-#: DomainError.  Each level costs the parser at most four stack frames, so
+#: DomainError.  Each level costs the parser at most three stack frames, so
 #: the budget stays far below the interpreter's default recursion limit.
 MAX_NESTING = 100
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "column")
+def _tokenize(text: str) -> tuple[list, list, list]:
+    """The tokens of ``text`` as three lists: kinds (``"int"``, ``"name"``, an
+    operator, and a last ``"end"``), texts, and start offsets."""
+    kinds, texts, offsets = [], [], []
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        token = match[group]
+        if group == 1:
+            kinds.append("int")
+        elif group == 2 and (token[0].isalpha() or token[0] == "_"):
+            kinds.append("name")
+        elif token in _OPERATORS:
+            kinds.append(token)
+        else:  # a word that starts with a digit such as "²", or a stray character
+            raise ParseError(f"unexpected character {token[0]!r}", *_position(text, match.start(group)))
+        texts.append(token)
+        offsets.append(match.start(group))
+    return kinds + ["end"], texts + [""], offsets + [len(text)]
 
-    def __init__(self, kind, text, line, column):
-        self.kind = kind  # "int" | "name" | one of _OPERATORS | "end"
-        self.text = text
-        self.line = line
-        self.column = column
 
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, column = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-            continue
-        if ch.isspace():
-            column += 1
-            i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(_Token("int", text[i:j], line, column))
-            column += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], line, column))
-            column += j - i
-            i = j
-            continue
-        if ch in _OPERATORS:
-            tokens.append(_Token(ch, ch, line, column))
-            column += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, column)
-    tokens.append(_Token("end", "", line, column))
-    return tokens
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The (line, column) of ``offset``: only "\\n" starts a line, and every
+    other character, "\\r" and tabs too, is one column."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _digit_limit() -> int:
@@ -117,74 +104,80 @@ def _digit_limit() -> int:
     return get_limit() if get_limit else 0
 
 
-def _int_literal(digits: str, where: str, line=None, column=None) -> int:
+def _int_literal(digits: str, where: str) -> int:
     try:
         return int(digits)
     except ValueError:  # past the interpreter's limit on integer string conversion
         raise DomainError(
             f"integer literal of {len(digits)} digits exceeds the limit of "
-            f"{_digit_limit()} digits{where}",
-            line,
-            column,
+            f"{_digit_limit()} digits{where}"
         ) from None
 
 
-def _int_value(tok: _Token) -> int:
-    return _int_literal(tok.text, "", tok.line, tok.column)
-
-
 class _Parser:
-    """Recursive descent over the tokens; every value is a pair
+    """Recursive descent over the token lists; every value is a pair
     ``(den, term map)`` meaning terms / den.  Pairs need not be canonical
     on the way: only the base of a power is reduced, and ``polynomial``
     normalizes each parsed result once."""
 
-    def __init__(self, tokens: list[_Token], dimension: int):
-        self.tokens = tokens
+    def __init__(self, text: str, tokens: tuple[list, list, list], dimension: int):
+        self.text = text
+        self.kinds, self.texts, self.offsets = tokens
         self.pos = 0
         self.names = {name: i for i, name in enumerate(default_variable_names(dimension))}
         self.dimension = dimension
         self.depth = 0
         self.print_bits = _print_bits()
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def place(self, i: int) -> tuple[int, int]:
+        """The (line, column) of token ``i``, for an error raised there."""
+        return _position(self.text, self.offsets[i])
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def found(self, i: int) -> str:
+        return repr(self.texts[i] or "end of input")
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.line, tok.column
-            )
-        return self.advance()
+    def expect(self, kind: str) -> int:
+        """Consume a token of ``kind`` and return its index."""
+        i = self.pos
+        if self.kinds[i] != kind:
+            raise ParseError(f"expected {kind!r}, found {self.found(i)}", *self.place(i))
+        self.pos = i + 1
+        return i
 
-    def nest(self, tok: _Token) -> None:
+    def integer(self, i: int) -> int:
+        """The value of int token ``i``."""
+        try:
+            return _int_literal(self.texts[i], "")
+        except DomainError as exc:
+            raise DomainError(exc._message, *self.place(i)) from None
+
+    def finish(self, what: str) -> None:
+        i = self.pos
+        if self.kinds[i] != "end":
+            raise ParseError(f"unexpected {self.texts[i]!r} after {what}", *self.place(i))
+
+    def nest(self, i: int) -> None:
         # Each "(" or unary "-" recurses; refuse before the interpreter's stack would run out.
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise DomainError(
-                f"parentheses and unary minus nested deeper than {MAX_NESTING}", tok.line, tok.column
-            )
+            raise DomainError(f"parentheses and unary minus nested deeper than {MAX_NESTING}", *self.place(i))
 
     def parse_expr(self) -> tuple[int, dict]:
+        kinds = self.kinds
         value = self.parse_term()
-        if self.peek().kind not in ("+", "-"):
+        if kinds[self.pos] not in ("+", "-"):
             return value
         parts = [(1, value)]
-        while self.peek().kind in ("+", "-"):
-            sign = 1 if self.advance().kind == "+" else -1
+        while kinds[self.pos] in ("+", "-"):
+            sign = 1 if kinds[self.pos] == "+" else -1
+            self.pos += 1
             parts.append((sign, self.parse_term()))
         return _sum(parts)
 
     def parse_term(self) -> tuple[int, dict]:
         den, terms = self.parse_factor()
-        while self.peek().kind == "*":
-            self.advance()
+        while self.kinds[self.pos] == "*":
+            self.pos += 1
             other_den, other = self.parse_factor()
             if len(terms) * len(other) > MAX_PRODUCT_PAIRS:
                 raise DomainError(
@@ -201,15 +194,38 @@ class _Parser:
         return den, terms
 
     def parse_factor(self) -> tuple[int, dict]:
-        if self.peek().kind == "-":
-            self.nest(self.advance())
+        i = self.pos
+        kind = self.kinds[i]
+        self.pos = i + 1
+        if kind == "-":
+            self.nest(i)
             den, terms = self.parse_factor()
             self.depth -= 1
             return den, scale_terms(terms, -1)
-        den, terms = self.parse_base()
-        if self.peek().kind == "^":
-            self.advance()
-            k = _int_value(self.expect("int"))
+        if kind == "int":
+            value, den = self.integer(i), 1
+            if self.kinds[self.pos] == "/":
+                self.pos += 1
+                j = self.expect("int")
+                den = self.integer(j)
+                if den == 0:
+                    raise ParseError("denominator must be positive", *self.place(j))
+            terms = {0: value} if value else {}
+        elif kind == "name":
+            index = self.names.get(self.texts[i])
+            if index is None:
+                raise UnknownVariable(f"unknown variable {self.texts[i]!r}", *self.place(i))
+            den, terms = 1, {1 << (EXPONENT_BITS * index): 1}
+        elif kind == "(":
+            self.nest(i)
+            den, terms = self.parse_expr()
+            self.expect(")")
+            self.depth -= 1
+        else:
+            raise ParseError(f"expected a rational, a variable or '(', found {self.found(i)}", *self.place(i))
+        if self.kinds[self.pos] == "^":
+            self.pos += 1
+            k = self.integer(self.expect("int"))
             t = len(terms)
             if t > 1 and (k >= MAX_POWER_TERMS or comb(t + k - 1, k) > MAX_POWER_TERMS):
                 raise DomainError(f"{t}-term base to the power {k} exceeds the term budget {MAX_POWER_TERMS}")
@@ -229,37 +245,6 @@ class _Parser:
             den **= k
         return den, terms
 
-    def parse_base(self) -> tuple[int, dict]:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            value = _int_value(tok)
-            den = 1
-            if self.peek().kind == "/":
-                self.advance()
-                den_tok = self.expect("int")
-                den = _int_value(den_tok)
-                if den == 0:
-                    raise ParseError("denominator must be positive", den_tok.line, den_tok.column)
-            return den, {0: value} if value else {}
-        if tok.kind == "name":
-            self.advance()
-            index = self.names.get(tok.text)
-            if index is None:
-                raise UnknownVariable(f"unknown variable {tok.text!r}", tok.line, tok.column)
-            return 1, {1 << (EXPONENT_BITS * index): 1}
-        if tok.kind == "(":
-            self.nest(self.advance())
-            value = self.parse_expr()
-            self.expect(")")
-            self.depth -= 1
-            return value
-        raise ParseError(
-            f"expected a rational, a variable or '(', found {tok.text or 'end of input'!r}",
-            tok.line,
-            tok.column,
-        )
-
     def polynomial(self) -> Polynomial:
         """The next expression as a polynomial, made once with ``_make``."""
         return Polynomial._make(self.dimension, *normalize(*self.parse_expr()))
@@ -269,25 +254,10 @@ def parse_polynomial(text: str, dimension: int = 3) -> Polynomial:
     """Parse an expression into a polynomial of the given dimension, in the
     variables ``default_variable_names(dimension)``."""
     _check_dimension(dimension)
-    parser = _Parser(_tokenize(text), dimension)
+    parser = _Parser(text, _tokenize(text), dimension)
     value = parser.polynomial()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(f"unexpected {tok.text!r} after expression", tok.line, tok.column)
+    parser.finish("expression")
     return value
-
-
-def _split_components(parser: _Parser) -> list[Polynomial]:
-    parser.expect("(")
-    components = [parser.polynomial()]
-    while parser.peek().kind == ",":
-        parser.advance()
-        components.append(parser.polynomial())
-    parser.expect(")")
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(f"unexpected {tok.text!r} after map literal", tok.line, tok.column)
-    return components
 
 
 def parse_map(text: str, dimension: Optional[int] = None) -> tuple[Polynomial, ...]:
@@ -301,17 +271,23 @@ def parse_map(text: str, dimension: Optional[int] = None) -> tuple[Polynomial, .
     if dimension is None:
         depth = 0
         commas = 0
-        for tok in tokens:
-            if tok.kind == "(":
+        for kind in tokens[0]:
+            if kind == "(":
                 depth += 1
-            elif tok.kind == ")":
+            elif kind == ")":
                 depth -= 1
-            elif tok.kind == "," and depth == 1:
+            elif kind == "," and depth == 1:
                 commas += 1
         dimension = commas + 1
     _check_dimension(dimension)
-    parser = _Parser(tokens, dimension)
-    components = _split_components(parser)
+    parser = _Parser(text, tokens, dimension)
+    parser.expect("(")
+    components = [parser.polynomial()]
+    while parser.kinds[parser.pos] == ",":
+        parser.pos += 1
+        components.append(parser.polynomial())
+    parser.expect(")")
+    parser.finish("map literal")
     if len(components) != dimension:
         raise ArityMismatch(f"map literal has {len(components)} components, expected {dimension}")
     return tuple(components)
@@ -377,36 +353,35 @@ def _check_printable_product(den_a: int, a: dict, den_b: int, b: dict, bits: int
                 raise _unprintable()
 
 
-def _term_order_key(exps):
-    return (sum(exps),) + tuple(-e for e in exps)
-
-
 def format_polynomial(p: Polynomial, names: Optional[Sequence[str]] = None) -> str:
     """Deterministic canonical rendering; ``parse_polynomial`` inverts it."""
     if names is None:
         names = default_variable_names(p.dimension)
     if p.is_zero():
         return "0"
-    den, numerators = p.integer_terms()
-    pieces = []
-    for exps in sorted(numerators, key=_term_order_key):
-        coeff = numerators[exps]
-        sign = "-" if coeff < 0 else "+"
+    den, n = p._den, p._dimension
+    rows = []
+    for key, coeff in p._terms.items():
+        # One read of the fields gives the degree, the exponent vector as one
+        # integer with the first variable's field on top, and the factors.
+        degree = order = 0
         factors = []
-        magnitude = -coeff if coeff < 0 else coeff
-        monomial = [
-            (names[i], e) for i, e in enumerate(exps) if e
-        ]
-        if magnitude != den or not monomial:
-            factors.append(_format_ratio(magnitude, den))
-        for name, e in monomial:
-            factors.append(name if e == 1 else f"{name}^{e}")
-        pieces.append((sign, "*".join(factors)))
-    first_sign, first_body = pieces[0]
-    out = first_body if first_sign == "+" else f"-{first_body}"
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+        for i in range(n):
+            e = key & FIELD_MASK
+            key >>= EXPONENT_BITS
+            degree += e
+            order = order << EXPONENT_BITS | e
+            if e:
+                factors.append(names[i] if e == 1 else f"{names[i]}^{e}")
+        rows.append((degree, -order, coeff, factors))
+    rows.sort()  # (degree, -order) differs between any two rows
+    pieces = []
+    for _, _, coeff, factors in rows:
+        pieces.append(" - " if coeff < 0 else " + ")
+        if abs(coeff) != den or not factors:
+            factors.insert(0, _format_ratio(abs(coeff), den))
+        pieces.append("*".join(factors))
+    return ("" if pieces[0] == " + " else "-") + "".join(pieces[1:])
 
 
 def format_map(components: Sequence[Polynomial]) -> str:

@@ -26,6 +26,26 @@ import sys
 import tempfile
 from pathlib import Path
 
+from cremona3 import (
+    AffineGenerator,
+    ExponentialGenerator,
+    TriangularGenerator,
+    format_map,
+    format_polynomial,
+    from_kernel_coordinates,
+    reconstruct,
+    variables,
+)
+from cremona3._termops import MAX_EXPONENT
+from cremona3.cli import main as cli_main
+from cremona3.verify import (
+    random_decomposition,
+    random_kernel_polynomial,
+    random_polynomial,
+    random_tame_word,
+    random_triangular_generator,
+)
+
 CORPUS = Path(__file__).with_name("cli_corpus.json")
 
 #: An output longer than this many UTF-8 bytes is stored as its SHA-256.
@@ -37,7 +57,7 @@ COLUMNS = "80"
 DIGIT_LIMIT = 4300
 
 
-def call(argv, word=None, directory=None):
+def call(argv, word, directory):
     """Run ``cremona3.cli.main(argv)`` in process; return ``(code, out, err)``.
 
     ``word`` is the text of the word file that ``{word}`` in argv names; it is
@@ -45,8 +65,6 @@ def call(argv, word=None, directory=None):
     ``directory``, and with ``word=None`` no such file exists.  The file's path
     is written back as ``{word}`` in the output.
     """
-    from cremona3.cli import main
-
     path = os.path.join(directory, "word.txt")
     if word is not None:
         with open(path, "wb") as handle:
@@ -56,7 +74,7 @@ def call(argv, word=None, directory=None):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main([arg.replace("{word}", path) for arg in argv])
+            code = cli_main([arg.replace("{word}", path) for arg in argv])
         except SystemExit as exc:  # argparse's usage errors and -h
             code = exc.code
     return code, out.getvalue().replace(path, "{word}"), err.getvalue().replace(path, "{word}")
@@ -75,9 +93,6 @@ def stored(text: str):
 
 def _word_text(word) -> str:
     """A word in the line format of ``cremona3 invert --word``."""
-    from cremona3 import AffineGenerator, ExponentialGenerator, TriangularGenerator
-    from cremona3 import format_map, format_polynomial
-
     lines = []
     for g in word.factors:
         if isinstance(g, AffineGenerator):
@@ -92,10 +107,6 @@ def _word_text(word) -> str:
 
 
 def _parse_calls(rng):
-    from cremona3 import format_polynomial
-    from cremona3._termops import MAX_EXPONENT
-    from cremona3.verify import random_polynomial
-
     long = "9" * (DIGIT_LIMIT + 1)
     texts = [
         "x*z - 1/2*y^2", "-1/2*y^2 + x*z", "0", "  ( x + y ) ^ 2  ", "3/2^2", "-y^2",
@@ -141,9 +152,6 @@ def _parse_calls(rng):
 
 
 def _map_calls(rng):
-    from cremona3 import format_map
-    from cremona3.verify import random_triangular_generator
-
     calls = [
         ["compose", "(x+1, y, z)", "(x-1, y, z)"], ["compose", "(x1, x2)", "(x, y, z)"],
         ["compose", "(x1, x2)", "(x1 + x2^2, x2)"], ["compose", "(x, y", "(x, y, z)"],
@@ -165,9 +173,6 @@ def _map_calls(rng):
 
 
 def _kernel_calls(rng):
-    from cremona3 import format_map, format_polynomial, from_kernel_coordinates, reconstruct, variables
-    from cremona3.verify import random_decomposition, random_kernel_polynomial
-
     calls = [
         ["exp", "--q", "x*z - 1/2*y^2"], ["exp", "--q", "y", "--derivation", "(1, 0, 0)"],
         ["exp", "--q", "0", "--derivation", "(x, 0, 0)"],
@@ -282,8 +287,6 @@ WORD_FILES = [
 
 
 def _invert_calls(rng):
-    from cremona3.verify import random_tame_word
-
     calls = [(["invert", "--word", "{word}", *options], text) for text, options in WORD_FILES]
     calls.append((["invert", "--word", "{word}"], None))  # no such file
     calls.append((["invert", "--word", "{word}", "--dim", "1001"], None))
