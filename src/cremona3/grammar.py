@@ -145,13 +145,14 @@ class _Parser:
         return i
 
     def integer(self, i: int) -> int:
-        """The value of int token ``i``."""
+        """The value of int token ``i``; past the digit limit, a DomainError at its place."""
         try:
             return _int_literal(self.texts[i], "")
         except DomainError as exc:
             raise DomainError(exc._message, *self.place(i)) from None
 
     def finish(self, what: str) -> None:
+        """Raise unless the tokens after ``what`` are used up."""
         i = self.pos
         if self.kinds[i] != "end":
             raise ParseError(f"unexpected {self.texts[i]!r} after {what}", *self.place(i))

@@ -114,10 +114,10 @@ def _reference_format(p, names=None):
     return out
 
 
-def _outcome(format, p, names):
+def _outcome(formatter, p, names):
     try:
-        return format(p, names)
-    except Exception as exc:
+        return formatter(p, names)
+    except IndexError as exc:
         return type(exc), str(exc)
 
 
