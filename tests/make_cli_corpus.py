@@ -258,6 +258,13 @@ WORD_FILES = [
     ("triangular (x,\u00a0y,\u2028w)\n", []),
     ("triangular (x, y, z) # comment\n", []),
     ("triangular (x, y, z)\r\ntriangular (x, y, w)\r\n", []),
+    # Only \n, \r\n and \r end a line; these characters are whitespace inside one.
+    ("scalar 2\rscalar 0\n", []),
+    ("triangular (x,\x0by, w)\n", []),
+    ("triangular (x,\x0cy, w)\n", []),
+    ("triangular (x,\x1cy, w)\n", []),
+    ("triangular (x,\x85y, w)\n", []),
+    ("triangular (x,\u2029y, w)\n", []),
     ("triangular (x,\ty, z\n", []),
     ("triangular (x, y, z), (x, y, z)\n", []),
     ("triangular (x1 + x2^2, x2)\n", ["--dim", "2"]),
