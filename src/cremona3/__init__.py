@@ -20,7 +20,9 @@ from .autgroup import (
     TriangularGenerator,
     commutes,
     compose,
+    format_word,
     parse_poly_map,
+    parse_word,
 )
 from .centralizer import (
     Decomposition,

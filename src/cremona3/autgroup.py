@@ -1,4 +1,4 @@
-"""Automorphisms of affine n-space as validated generator words.
+"""Automorphisms of affine n-space as validated generator words, and their word files.
 
 A word is a list of generators in functional order (leftmost applied
 last); ``AutWord.evaluate`` multiplies the word out to an explicit polynomial
@@ -39,6 +39,7 @@ non-constant tails.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, groupby
@@ -48,8 +49,8 @@ from typing import Iterable, Optional, Sequence
 
 from . import grammar
 from ._termops import EXPONENT_BITS, normalize, scale_terms
-from .derivation import DEFAULT_BOUND, Derivation, Nilpotency
-from .errors import DimensionMismatch, InvalidGenerator
+from .derivation import DEFAULT_BOUND, Derivation, Nilpotency, nagata_derivation
+from .errors import Cremona3Error, DimensionMismatch, DomainError, InvalidGenerator, ParseError
 from .exactpoly import Polynomial, _check_dimension, _substitute_all
 
 
@@ -495,3 +496,84 @@ class AutWord:
     def __repr__(self):
         return f"AutWord({self.dimension}, {list(self.factors)!r})"
 
+
+
+# -- word files ----------------------------------------------------------
+
+
+def parse_word(text: str, dimension: int = 3) -> AutWord:
+    """Read a word file: one generator a line, in functional order.
+
+    The line kinds are ``affine`` (n^2 matrix entries, then n shifts),
+    ``triangular`` (a map literal), ``exp`` (a scale, then an exponent in the
+    kernel of ``nagata_derivation()``; dimension 3 only) and ``scalar``.
+    Fields are separated by any run of whitespace, blank and ``#`` lines are
+    skipped, and only "\\n", "\\r\\n" and "\\r" end a line.  An error of a line
+    names the line, and column 1 when it has no column of its own.
+    """
+    if dimension > 0:  # a dimension below 1 keeps the error the empty word gives it
+        _check_dimension(dimension)
+    factors = []
+    nagata = nagata_derivation()
+    # Not splitlines(): it also ends a line at \v, \f, \x1c-\x1e, \x85, U+2028 and U+2029.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            # surrogateescape decodes each byte that is not UTF-8 to U+DC80..U+DCFF.
+            bad = re.search("[\udc80-\udcff]", raw)
+            if bad:
+                raise ParseError("word file is not valid UTF-8", None, bad.start() + 1)
+            body = raw.rstrip()
+            line = body.lstrip()
+            if not line or line.startswith("#"):
+                continue
+            kind, *rest = line.split(None, 1)
+            rest = "".join(rest)
+            if kind == "affine":
+                numbers = [grammar._parse_rational_token(tok) for tok in rest.split()]
+                if len(numbers) != dimension * dimension + dimension:
+                    raise ParseError(
+                        f"affine generator needs {dimension * dimension + dimension} rationals, "
+                        f"got {len(numbers)}"
+                    )
+                matrix = [numbers[i * dimension : (i + 1) * dimension] for i in range(dimension)]
+                factors.append(AffineGenerator(matrix, numbers[dimension * dimension :]))
+            elif kind == "triangular":
+                # Padded to where it stands in the line, so the grammar's columns are the file's.
+                factors.append(TriangularGenerator(grammar.parse_map(rest.rjust(len(body)), dimension)))
+            elif kind == "exp":
+                scale_text, *q_text = rest.split(None, 1) or [""]
+                if dimension != 3:
+                    raise DomainError("exp generators use the fixed shear derivation in dimension 3")
+                q = grammar.parse_polynomial("".join(q_text).rjust(len(body)), 3)
+                factors.append(ExponentialGenerator(q, nagata, grammar._parse_rational_token(scale_text)))
+            elif kind == "scalar":
+                factors.append(ScalarGenerator(grammar._parse_rational_token(rest), dimension))
+            else:
+                raise ParseError(f"unknown generator kind {kind!r}")
+        except Cremona3Error as exc:
+            raise type(exc)(exc._message, lineno, exc.column or 1) from None
+    return AutWord(dimension, factors)
+
+
+def format_word(word: AutWord) -> str:
+    """The word as ``parse_word`` reads it back: one generator a line.
+
+    Raises DomainError for an ``ExponentialGenerator`` whose derivation is
+    not ``nagata_derivation()``, which no line of the format can hold.
+    """
+    nagata = nagata_derivation()
+    lines = []
+    for index, g in enumerate(word.factors):
+        if isinstance(g, AffineGenerator):
+            den, m, t = g._form
+            lines.append("affine " + " ".join(grammar._format_ratio(v, den) for v in chain(*m, t)))
+        elif isinstance(g, TriangularGenerator):
+            lines.append("triangular " + grammar.format_map(g.components))
+        elif isinstance(g, ExponentialGenerator):
+            if g.derivation != nagata:
+                raise DomainError(f"factor {index}: word files hold exp over the shear derivation only")
+            lines.append(f"exp {grammar.format_rational(g.scale)} {grammar.format_polynomial(g.q)}")
+        else:
+            lines.append(f"scalar {grammar.format_rational(g.alpha)}")
+    return "\n".join(lines) + "\n"

@@ -11,18 +11,8 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from fractions import Fraction
 
-from .autgroup import (
-    AffineGenerator,
-    AutWord,
-    ExponentialGenerator,
-    PolyMap,
-    ScalarGenerator,
-    TriangularGenerator,
-    commutes,
-    parse_poly_map,
-)
+from .autgroup import PolyMap, commutes, parse_poly_map, parse_word
 from .centralizer import decompose
 from .derivation import (
     Derivation,
@@ -30,12 +20,11 @@ from .derivation import (
     kernel_coordinates,
     nagata_derivation,
 )
-from .errors import Cremona3Error, DomainError, ParseError
+from .errors import DomainError, ParseError
 from .exactpoly import _check_dimension
 from .grammar import (
     _check_printable_power,
-    _digit_limit,
-    _int_literal,
+    _parse_rational_token,
     format_map,
     format_polynomial,
     format_rational,
@@ -43,88 +32,6 @@ from .grammar import (
     parse_polynomial,
 )
 from .nagata import TorusElement, character_lambda
-
-
-#: A decimal in exponent notation as ``Fraction`` reads it; group 1 is the exponent.
-_DECIMAL_EXPONENT = re.compile(
-    r"\s*[-+]?(?=\d|\.\d)(?:\d*|\d+(?:_\d+)*)(?:\.(?:\d*|\d+(?:_\d+)*))?"
-    r"[eE][-+]?(\d+(?:_\d+)*)\s*"
-)
-
-
-def _parse_rational_token(text: str) -> Fraction:
-    # 1e4000000 is nine characters but a 4-million-digit integer: bound the
-    # exponent by the interpreter's digit limit before Fraction expands it.
-    exponent = _DECIMAL_EXPONENT.fullmatch(text)
-    limit = _digit_limit()
-    if exponent and limit:
-        digits = exponent.group(1).replace("_", "").lstrip("0")
-        if len(digits) > len(str(limit)) or int(digits or 0) > limit:
-            raise DomainError(
-                f"decimal exponent exceeds the limit of {limit} digits in a rational argument"
-            )
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        # A digit run past the interpreter's conversion limit is a DomainError, not echoed.
-        for digits in re.findall(r"\d+", text):
-            _int_literal(digits, " in a rational argument")
-        raise ParseError(f"not a rational number: {text!r}") from exc
-
-
-def _first_field(text: str) -> tuple[str, str]:
-    # Fields of a word-file line are separated by any run of whitespace, tabs too.
-    first, *rest = text.split(None, 1) or [""]
-    return first, "".join(rest)
-
-
-def _read_word_file(path: str, dimension: int) -> AutWord:
-    if dimension > 0:  # a dimension below 1 keeps the error the empty word gives it
-        _check_dimension(dimension)
-    factors = []
-    nagata = nagata_derivation()
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            try:
-                # surrogateescape decodes each byte that is not UTF-8 to U+DC80..U+DCFF.
-                bad = re.search("[\udc80-\udcff]", raw)
-                if bad:
-                    raise ParseError("word file is not valid UTF-8", None, bad.start() + 1)
-                body = raw.rstrip()
-                line = body.lstrip()
-                if not line or line.startswith("#"):
-                    continue
-                kind, rest = _first_field(line)
-                if kind == "affine":
-                    numbers = [_parse_rational_token(tok) for tok in rest.split()]
-                    if len(numbers) != dimension * dimension + dimension:
-                        raise ParseError(
-                            f"affine generator needs {dimension * dimension + dimension} rationals, "
-                            f"got {len(numbers)}"
-                        )
-                    matrix = [
-                        numbers[i * dimension : (i + 1) * dimension] for i in range(dimension)
-                    ]
-                    factors.append(AffineGenerator(matrix, numbers[dimension * dimension :]))
-                elif kind == "triangular":
-                    # Padded to where it stands in the line, so the grammar's columns are the file's.
-                    factors.append(TriangularGenerator(parse_map(rest.rjust(len(body)), dimension)))
-                elif kind == "exp":
-                    scale_text, q_text = _first_field(rest)
-                    if dimension != 3:
-                        raise DomainError(
-                            "exp generators use the fixed shear derivation in dimension 3"
-                        )
-                    q = parse_polynomial(q_text.rjust(len(body)), 3)
-                    factors.append(ExponentialGenerator(q, nagata, _parse_rational_token(scale_text)))
-                elif kind == "scalar":
-                    factors.append(ScalarGenerator(_parse_rational_token(rest), dimension))
-                else:
-                    raise ParseError(f"unknown generator kind {kind!r}")
-            except Cremona3Error as exc:
-                # Every error of a line names the line, and column 1 when it has no column of its own.
-                raise type(exc)(exc._message, lineno, exc.column or 1) from None
-    return AutWord(dimension, factors)
 
 
 def _cmd_parse(args) -> int:
@@ -141,7 +48,10 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    word = _read_word_file(args.word, args.dim)
+    if args.dim > 0:  # a --dim past the limit is refused before the file is opened
+        _check_dimension(args.dim)
+    with open(args.word, encoding="utf-8", errors="surrogateescape") as handle:
+        word = parse_word(handle.read(), args.dim)
     print(format_map(word.inverse().evaluate().components))
     return 0
 

@@ -114,6 +114,33 @@ def _int_literal(digits: str, where: str) -> int:
         ) from None
 
 
+#: A decimal in exponent notation as ``Fraction`` reads it; group 1 is the exponent.
+_DECIMAL_EXPONENT = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)(?:\d*|\d+(?:_\d+)*)(?:\.(?:\d*|\d+(?:_\d+)*))?"
+    r"[eE][-+]?(\d+(?:_\d+)*)\s*"
+)
+
+
+def _parse_rational_token(text: str) -> Fraction:
+    # 1e4000000 is nine characters but a 4-million-digit integer: bound the
+    # exponent by the interpreter's digit limit before Fraction expands it.
+    exponent = _DECIMAL_EXPONENT.fullmatch(text)
+    limit = _digit_limit()
+    if exponent and limit:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+            raise DomainError(
+                f"decimal exponent exceeds the limit of {limit} digits in a rational argument"
+            )
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        # A digit run past the interpreter's conversion limit is a DomainError, not echoed.
+        for digits in re.findall(r"\d+", text):
+            _int_literal(digits, " in a rational argument")
+        raise ParseError(f"not a rational number: {text!r}") from exc
+
+
 class _Parser:
     """Recursive descent over the token lists; every value is a pair
     ``(den, term map)`` meaning terms / den.  Pairs need not be canonical

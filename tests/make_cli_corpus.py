@@ -27,11 +27,9 @@ import tempfile
 from pathlib import Path
 
 from cremona3 import (
-    AffineGenerator,
-    ExponentialGenerator,
-    TriangularGenerator,
     format_map,
     format_polynomial,
+    format_word,
     from_kernel_coordinates,
     reconstruct,
     variables,
@@ -89,21 +87,6 @@ def stored(text: str):
 
 
 # -- the call set ------------------------------------------------------------
-
-
-def _word_text(word) -> str:
-    """A word in the line format of ``cremona3 invert --word``."""
-    lines = []
-    for g in word.factors:
-        if isinstance(g, AffineGenerator):
-            lines.append("affine " + " ".join(map(str, [*sum(g.matrix, ()), *g.translation])))
-        elif isinstance(g, TriangularGenerator):
-            lines.append("triangular " + format_map(g.components))
-        elif isinstance(g, ExponentialGenerator):
-            lines.append(f"exp {g.scale} {format_polynomial(g.q)}")
-        else:
-            lines.append(f"scalar {g.alpha}")
-    return "\n".join(lines) + "\n"
 
 
 def _parse_calls(rng):
@@ -301,7 +284,7 @@ def _invert_calls(rng):
     for dimension in (2, 3, 3):
         for _ in range(6):
             word = random_tame_word(rng, dimension, max_length=4, cost_budget=40)
-            calls.append((["invert", "--word", "{word}", "--dim", str(dimension)], _word_text(word)))
+            calls.append((["invert", "--word", "{word}", "--dim", str(dimension)], format_word(word)))
     return calls
 
 

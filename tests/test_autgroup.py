@@ -22,16 +22,20 @@ from cremona3 import (
     ScalarGenerator,
     TriangularGenerator,
     commutes,
+    UnknownVariable,
     compose,
+    format_word,
+    from_kernel_coordinates,
     nagata_derivation,
     nagata_invariant,
+    parse_word,
     standard_objects,
     variables,
 )
 from cremona3 import autgroup, exactpoly, verify
 from cremona3._termops import MAX_EXPONENT
 from cremona3.exactpoly import _substitute_all
-from cremona3.verify import random_tame_word
+from cremona3.verify import random_kernel_polynomial, random_tame_word, random_triangular_generator
 from oracle import from_poly, normalize, o_substitute
 
 X, Y, Z = variables(3)
@@ -772,3 +776,95 @@ def test_random_affine_generator_retries_only_singular_draws(monkeypatch):
     monkeypatch.setattr(verify, "AffineGenerator", broken_once)
     with pytest.raises(TypeError):
         verify.random_affine_generator(random.Random(0))
+
+
+# -- word files ----------------------------------------------------------------
+
+
+def _random_ratio(rng, magnitude):
+    return Fraction(rng.randint(-magnitude, magnitude), rng.randint(1, magnitude))
+
+
+def _random_word_of_every_kind(rng, dimension):
+    """A seeded word of affine (rational entries), triangular, scalar and, in
+    dimension 3, exp factors."""
+    kinds = ["affine", "triangular", "scalar"] + ["exp"] * (dimension == 3)
+    factors = []
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.choice(kinds)
+        if kind == "affine":
+            while True:
+                try:
+                    matrix = [[_random_ratio(rng, 3) for _ in range(dimension)] for _ in range(dimension)]
+                    factors.append(AffineGenerator(matrix, [_random_ratio(rng, 3) for _ in range(dimension)]))
+                    break
+                except InvalidGenerator:
+                    continue
+        elif kind == "triangular":
+            factors.append(random_triangular_generator(rng, dimension, 2))
+        elif kind == "exp":
+            q = from_kernel_coordinates(random_kernel_polynomial(rng))
+            factors.append(ExponentialGenerator(q, D, _random_ratio(rng, 4)))
+        else:
+            factors.append(ScalarGenerator(_random_ratio(rng, 5) or 1, dimension))
+    return AutWord(dimension, factors)
+
+
+def test_word_files_read_back_the_words_they_write():
+    rng = random.Random(36)
+    kinds = set()
+    for dimension in (2, 3, 4):
+        for _ in range(150):
+            word = _random_word_of_every_kind(rng, dimension)
+            kinds.update(type(g) for g in word)
+            text = format_word(word)
+            assert text.endswith("\n") and text.count("\n") == len(word)
+            assert parse_word(text, dimension) == word
+    assert kinds == set(autgroup.Generator)
+    assert format_word(AutWord(2, ())) == "\n" and parse_word("\n", 2) == AutWord(2, ())
+
+
+def test_format_word_writes_one_line_per_factor():
+    word = AutWord(
+        3,
+        [
+            AffineGenerator([[1, 0, 0], [HALF, 1, 0], [0, 0, -2]], [0, Fraction(-1, 3), 4]),
+            TriangularGenerator((X + Y ** 2, Y + 1, Z)),
+            ExponentialGenerator(P, D, Fraction(-2, 3)),
+            ScalarGenerator(HALF),
+        ],
+    )
+    assert format_word(word) == (
+        "affine 1 0 0 1/2 1 0 0 0 -2 0 -1/3 4\n"
+        "triangular (x + y^2, 1 + y, z)\n"
+        "exp -2/3 x*z - 1/2*y^2\n"
+        "scalar 1/2\n"
+    )
+
+
+def test_format_word_refuses_exp_over_another_derivation():
+    # A line would read back as exp over nagata_derivation(): another map.
+    for derivation, q in ((Derivation((Z, 0 * Z, 0 * Z)), Y), (Derivation((2 * Y, 2 * Z, 0 * Z)), P)):
+        word = AutWord(3, [ScalarGenerator(2), ExponentialGenerator(q, derivation)])
+        with pytest.raises(DomainError, match=r"^factor 1: word files hold exp over the shear derivation only$"):
+            format_word(word)
+
+
+@pytest.mark.parametrize(
+    "text, error, place",
+    [
+        ("scalar 2\rscalar 0\n", InvalidGenerator, (2, 1)),
+        ("scalar 2\r\nscalar 0", InvalidGenerator, (2, 1)),
+        ("scalar 2\r\rscalar 0", InvalidGenerator, (3, 1)),
+        ("scalar 2\n\r\nscalar 0", InvalidGenerator, (3, 1)),
+        *(
+            (f"triangular (x,{c}y, w)\n", UnknownVariable, (1, 19))
+            for c in ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+        ),
+    ],
+)
+def test_parse_word_ends_lines_only_at_newlines(text, error, place):
+    # Only \n, \r\n and \r end a line, as when a file is read with universal newlines.
+    with pytest.raises(error) as excinfo:
+        parse_word(text)
+    assert (excinfo.value.line, excinfo.value.column) == place

@@ -721,7 +721,7 @@ def test_a_cold_import_leaves_the_unused_modules_unimported(statement, unloaded)
     probe = f"import sys; {statement}; print(sorted(set({unloaded!r}) & set(sys.modules)))"
     src = str(Path(cremona3.__file__).resolve().parent.parent)
     done = subprocess.run(
-        [sys.executable, "-c", probe], env={"PYTHONPATH": src}, capture_output=True, text=True
+        [sys.executable, "-B", "-c", probe], env={"PYTHONPATH": src}, capture_output=True, text=True
     )
     assert (done.returncode, done.stdout) == (0, "[]\n")
 

@@ -7,7 +7,7 @@ command line prints on purpose rewrites it in the same diff.
 
 import json
 
-from make_cli_corpus import CORPUS, call, pinned_environment, stored
+from make_cli_corpus import CORPUS, call, calls, pinned_environment, stored
 
 
 def test_every_call_of_the_corpus_replays_byte_identically(tmp_path):
@@ -26,3 +26,10 @@ def test_every_call_of_the_corpus_replays_byte_identically(tmp_path):
             if got != want:
                 mismatches.append((entry["argv"], want, got))
     assert mismatches == []
+
+
+def test_the_generator_writes_the_stored_calls():
+    # Its seeded invert words are written by format_word, and must be the
+    # stored word texts, which the writer the corpus was first made with wrote.
+    entries = json.loads(CORPUS.read_text())
+    assert [(entry["argv"], entry["word"]) for entry in entries] == calls()

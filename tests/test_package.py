@@ -26,7 +26,9 @@ EXPORTS = {
         "TriangularGenerator",
         "commutes",
         "compose",
+        "format_word",
         "parse_poly_map",
+        "parse_word",
     ),
     "centralizer": ("Decomposition", "decompose", "is_in_centralizer", "reconstruct"),
     "derivation": (
